@@ -17,7 +17,7 @@
 //!   when the upload travels encoded;
 //! * `rounds_per_sec`: end-to-end warm-up rounds at n = 64 participants
 //!   under shaped bandwidth (`real_time_scale = 10`, the slow-link regime
-//!   the paper targets), serial vs pipelined
+//!   the paper targets), serial vs reactor
 //!   engine with the same seed — the trajectories are asserted identical,
 //!   so the speedup is pure overlap.
 //!
@@ -174,12 +174,12 @@ fn rounds_per_sec_group(json: &mut String) {
     const ROUNDS: usize = 3;
     // stretch simulated transmission times 10x so the bench runs in the
     // bandwidth-bound regime federated search actually lives in; the
-    // pipelined engine overlaps those sends, the serial engine sums them
+    // reactor overlaps those sends, the serial engine sums them
     const TIME_SCALE: f64 = 10.0;
     let mut results = Vec::new();
     for (label, mode) in [
         ("serial", EngineMode::Serial),
-        ("pipelined", EngineMode::Pipelined),
+        ("reactor", EngineMode::Reactor),
     ] {
         eprintln!("benchmarking rounds_per_sec n={N} engine={label}...");
         let config = SearchConfig::tiny().with_participants(N);
@@ -200,19 +200,19 @@ fn rounds_per_sec_group(json: &mut String) {
         search.server_mut().run_warmup(&dataset, ROUNDS, &mut rng);
         let secs = start.elapsed().as_secs_f64();
         let curve = search.server_mut().warmup_curve().clone();
-        let comm = search.server_mut().comm().clone();
+        let comm = *search.server_mut().comm();
         results.push((label, secs, curve, comm));
     }
     assert_eq!(
         results[0].2, results[1].2,
-        "serial and pipelined warm-up curves must be bit-identical"
+        "serial and reactor warm-up curves must be bit-identical"
     );
     assert_eq!(
         results[0].3, results[1].3,
-        "serial and pipelined CommStats must be bit-identical"
+        "serial and reactor CommStats must be bit-identical"
     );
     let serial_rps = ROUNDS as f64 / results[0].1;
-    let pipelined_rps = ROUNDS as f64 / results[1].1;
+    let reactor_rps = ROUNDS as f64 / results[1].1;
     writeln!(json, "  \"rounds_per_sec\": {{").unwrap();
     writeln!(
         json,
@@ -221,8 +221,8 @@ fn rounds_per_sec_group(json: &mut String) {
     .unwrap();
     writeln!(
         json,
-        "    \"serial\": {serial_rps:.3}, \"pipelined\": {pipelined_rps:.3}, \"speedup\": {:.2},",
-        pipelined_rps / serial_rps
+        "    \"serial\": {serial_rps:.3}, \"reactor\": {reactor_rps:.3}, \"speedup\": {:.2},",
+        reactor_rps / serial_rps
     )
     .unwrap();
     writeln!(json, "    \"identical_trajectory\": true").unwrap();

@@ -10,7 +10,7 @@
 //!   *estimated* from parameter counts;
 //! * **over a [`RoundBackend`]**: every payload is serialized into the
 //!   `fedrlnas-rpc` wire format, crosses a real transport (in-memory duplex
-//!   or loopback TCP) to a long-lived worker thread, and byte counts are
+//!   or loopback TCP) to a long-lived worker, and byte counts are
 //!   *measured* from the frames that actually crossed.
 //!
 //! The trait lives here, one layer below the implementation, so the server

@@ -574,14 +574,14 @@ impl SearchServer {
             }
             (out.reports, out.late)
         } else {
-            let raw: Vec<(usize, f32, f32, Vec<f32>)> = crossbeam::thread::scope(|scope| {
+            let raw: Vec<(usize, f32, f32, Vec<f32>)> = std::thread::scope(|scope| {
                 let handles: Vec<_> = self
                     .participants
                     .iter_mut()
                     .zip(submodels.iter_mut())
                     .filter(|(p, _)| slot_active(&active_mask, p.id()))
                     .map(|(p, sub)| {
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             let mut prng = rand::rngs::StdRng::seed_from_u64(
                                 seed_base ^ (p.id() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                             );
@@ -596,8 +596,7 @@ impl SearchServer {
                     .into_iter()
                     .map(|h| h.join().expect("participant thread panicked"))
                     .collect()
-            })
-            .expect("scoped threads join");
+            });
             let mut reports: Vec<BackendReport> = raw
                 .into_iter()
                 .map(|(participant, accuracy, loss, grads)| BackendReport {

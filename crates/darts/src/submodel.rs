@@ -12,14 +12,13 @@ use crate::supernet::SupernetConfig;
 use fedrlnas_nn::{BatchNorm2d, Conv2d, GlobalAvgPool, Layer, Linear, Mode, Param};
 use fedrlnas_tensor::Tensor;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A sampled architecture: one operation index per edge, per cell kind.
 ///
 /// This is the binary mask `g` of Eq. (5) in index form: `ops(kind)[e]`
 /// is the index into [`OpKind::ALL`] of the operation selected on edge `e`
 /// of cells of that kind.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ArchMask {
     ops: [Vec<usize>; 2],
 }

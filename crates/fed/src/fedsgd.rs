@@ -10,10 +10,9 @@ use fedrlnas_data::{dirichlet_partition, iid_partition, AugmentConfig, Synthetic
 use fedrlnas_netsim::Environment;
 use fedrlnas_nn::{Param, Sgd, SgdConfig};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the gradient-averaging trainer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FedSgdConfig {
     /// Mini-batch size per participant per round.
     pub batch_size: usize,

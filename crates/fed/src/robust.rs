@@ -37,11 +37,10 @@
 //! exact FedAvg-weighting semantics.
 
 use crate::trainable::average_flat;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which robust center the aggregate step uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggregatorKind {
     /// Weighted arithmetic mean — the legacy FedAvg rule (default).
     Mean,
@@ -64,9 +63,9 @@ pub enum AggregatorKind {
 }
 
 /// Full aggregator selection: a center plus an optional per-update L2
-/// clipping pre-step. `Copy` + serde so it travels in search and FedAvg
-/// configs and checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// clipping pre-step. `Copy` so it travels in search and FedAvg configs
+/// and checkpoints.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggregatorConfig {
     /// The robust center.
     pub kind: AggregatorKind,

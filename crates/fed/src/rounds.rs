@@ -12,10 +12,9 @@ use fedrlnas_data::{dirichlet_partition, iid_partition, AugmentConfig, Synthetic
 use fedrlnas_netsim::{resolve_codec, Environment};
 use fedrlnas_nn::SgdConfig;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// FedAvg hyperparameters (the P3/FL column of Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FedAvgConfig {
     /// Local SGD steps per participant per round.
     pub local_steps: usize,
@@ -61,7 +60,7 @@ impl Default for FedAvgConfig {
 }
 
 /// Aggregate metrics of one FedAvg round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundMetrics {
     /// Round index (0-based).
     pub round: usize,
@@ -236,13 +235,13 @@ impl<M: TrainableModel + Clone + Send> FedAvgTrainer<M> {
         let global = &self.global;
         let config = self.config;
         let round = self.round;
-        let results: Vec<(Vec<f32>, f32, f32, usize)> = crossbeam::thread::scope(|scope| {
+        let results: Vec<(Vec<f32>, f32, f32, usize)> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .participants
                 .iter_mut()
                 .map(|p| {
                     let mut local = global.clone();
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut rng = rand::rngs::StdRng::seed_from_u64(
                             seed ^ (p.id() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                                 ^ (round as u64) << 32,
@@ -267,8 +266,7 @@ impl<M: TrainableModel + Clone + Send> FedAvgTrainer<M> {
                 .into_iter()
                 .map(|h| h.join().expect("participant thread panicked"))
                 .collect()
-        })
-        .expect("scoped threads join");
+        });
         let mut locals = Vec::with_capacity(results.len());
         let mut weights = Vec::with_capacity(results.len());
         let mut loss = 0.0f32;

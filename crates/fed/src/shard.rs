@@ -42,14 +42,13 @@
 //! adversaries should keep shards large enough that the per-shard
 //! f-bound still covers the plausible collusion size. See DESIGN.md §4j.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::robust::{AggregatorConfig, AggregatorKind, SparseUpdate, StreamingAccumulator};
 
 /// How the cohort's updates are partitioned into shard aggregators.
 /// `shards = 1` is the flat (single-tier) topology and the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardTopology {
     /// Number of shard aggregators (≥ 1; 1 means flat).
     pub shards: usize,

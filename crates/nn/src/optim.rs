@@ -8,10 +8,9 @@
 
 use crate::layer::Param;
 use fedrlnas_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters for [`Sgd`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SgdConfig {
     /// Learning rate η.
     pub lr: f32,

@@ -5,8 +5,6 @@
 //! retraining uses a constant rate. Both are provided behind one trait so
 //! the trainers are schedule-agnostic.
 
-use serde::{Deserialize, Serialize};
-
 /// A learning-rate schedule: maps a step index to a learning rate.
 pub trait LrSchedule: Send {
     /// Learning rate at `step` of `total_steps`.
@@ -14,7 +12,7 @@ pub trait LrSchedule: Send {
 }
 
 /// Constant learning rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConstantLr(
     /// The rate returned at every step.
     pub f32,
@@ -28,7 +26,7 @@ impl LrSchedule for ConstantLr {
 
 /// Cosine annealing from `max_lr` down to `min_lr` over the run
 /// (`SGDR`-style without restarts), as used by DARTS retraining.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CosineLr {
     /// Initial learning rate.
     pub max_lr: f32,

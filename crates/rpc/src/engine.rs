@@ -1,7 +1,7 @@
 //! Concurrent, deadline-driven round engine.
 //!
-//! Each participant runs on its own long-lived worker thread behind its
-//! own [`Transport`]. Per round the engine serializes each sub-model into
+//! Each participant sits behind its own [`Transport`], served by a pooled
+//! worker fleet (see `crate::reactor`). Per round the engine serializes each sub-model into
 //! a [`Message::DownloadSubmodel`] frame, ships it, then collects
 //! [`Message::UploadUpdate`] replies under a per-participant deadline with
 //! bounded, backed-off retries. Replies that surface after their round's
@@ -48,7 +48,6 @@
 //! adversarial side of that contract.
 
 use std::collections::{HashMap, HashSet};
-use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -66,9 +65,7 @@ use rand::{rngs::StdRng, SeedableRng};
 
 use crate::adversary::{apply_attack, Attack};
 use crate::fault::{mix, FaultPlan, FaultyTransport};
-use crate::transport::{
-    ChannelTransport, ShapedTransport, TcpTransport, Transport, TransportError,
-};
+use crate::transport::{ShapedTransport, Transport, TransportError};
 use crate::wire::{
     decode, encode, encode_download_into, encode_into, encode_upload_coded_into, Message,
 };
@@ -97,35 +94,31 @@ pub enum TransportKind {
     Tcp,
 }
 
-/// Which round-execution strategy drives phases 1 and 2.
+/// Which round-execution strategy drives phase 2.
 ///
 /// Both modes produce bit-identical round outcomes for the same inputs
 /// (same reports, same byte counts, same `CommStats`): the outcome
 /// depends only on the *set* of on-time replies and the per-link content
 /// order, never on the interleaving in which different links were
-/// serviced. See DESIGN.md "Pipelined round lifecycle".
+/// serviced. See DESIGN.md §4j.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// The reference barrier implementation: ship every download, then
-    /// collect replies strictly in participant order, decoding and
-    /// validating each one after its blocking wait returns.
+    /// The reference barrier implementation: ship every download (each
+    /// shaped send sleeping inline), then collect replies strictly in
+    /// participant order, decoding and validating each one after its
+    /// blocking wait returns.
     Serial,
-    /// The overlapped implementation: each eligible worker gets a scoped
-    /// collector thread that ships its download, waits on its link, and
-    /// decodes + validates replies as they arrive — compute overlaps
-    /// every in-flight network wait, and shaped send delays overlap each
-    /// other instead of summing.
-    #[default]
-    Pipelined,
     /// The event-driven implementation: a bounded pool of collector
     /// threads (see [`RpcConfig::reactor_threads`]) drives *all*
     /// participant links through nonblocking [`Transport::poll_recv`]
     /// readiness sweeps, with per-link deadline/retry/drain state
-    /// machines replacing per-link blocking waits — thread count stays
-    /// flat as the cohort grows to 10k. Same quorum, drain and eviction
-    /// semantics; effects still commit in participant order, so
-    /// fault-free full-quorum rounds are bit-identical to the other two
-    /// modes (see `crate::reactor`).
+    /// machines replacing per-link blocking waits and shaped sends
+    /// scheduled rather than slept, so link delays overlap and thread
+    /// count stays flat as the cohort grows to 10k. Same quorum, drain
+    /// and eviction semantics; effects still commit in participant order,
+    /// so fault-free full-quorum rounds are bit-identical to serial (see
+    /// `crate::reactor`).
+    #[default]
     Reactor,
 }
 
@@ -134,7 +127,7 @@ pub enum EngineMode {
 pub struct RpcConfig {
     /// Transport implementation to use.
     pub transport: TransportKind,
-    /// Round-execution strategy (pipelined by default; serial is the
+    /// Round-execution strategy (reactor by default; serial is the
     /// reference the determinism suites compare against).
     pub engine: EngineMode,
     /// How long to wait for each participant's reply per attempt.
@@ -156,9 +149,10 @@ pub struct RpcConfig {
     /// met (defaults to the legacy 5ms constant, so existing byte-identity
     /// suites are unaffected).
     pub quorum_drain: Duration,
-    /// Collector/worker pool size for [`EngineMode::Reactor`]. `0` (the
-    /// default) resolves from `FEDRLNAS_NUM_THREADS`, falling back to the
-    /// machine's available parallelism. Ignored by the other modes.
+    /// Worker-fleet pool size in both modes, and collector pool size for
+    /// [`EngineMode::Reactor`]. `0` (the default) resolves from
+    /// `FEDRLNAS_NUM_THREADS`, falling back to the machine's available
+    /// parallelism.
     pub reactor_threads: usize,
     /// Consecutive missed rounds after which a worker is evicted
     /// (`0` disables eviction).
@@ -206,8 +200,10 @@ pub struct ScriptedFault {
     /// Worker exits silently upon receiving this round's download,
     /// simulating a permanent participant crash mid-round.
     pub die_at_round: Option<usize>,
-    /// Worker sleeps this long before computing the given round's update,
-    /// so the reply misses the deadline and arrives in a later round.
+    /// Worker holds the given round's download this long before computing
+    /// its update, so the reply misses the deadline and arrives in a later
+    /// round. Only that participant's link is parked; the rest of its
+    /// fleet shard keeps running.
     pub delay: Option<(usize, Duration)>,
     /// `(crash_round, rounds_down)` — the worker crashes upon receiving
     /// `crash_round`'s download (losing its reply cache), stays silent for
@@ -262,7 +258,6 @@ pub(crate) type Link = ShapedTransport<FaultyTransport<Box<dyn Transport>>>;
 
 pub(crate) struct WorkerHandle {
     pub(crate) transport: Option<Link>,
-    pub(crate) join: Option<JoinHandle<()>>,
     /// `false` once the link itself is dead (peer hung up / socket error);
     /// a dead worker never comes back.
     pub(crate) alive: bool,
@@ -280,8 +275,8 @@ pub(crate) struct WorkerHandle {
 /// The server-side round engine; implements [`RoundBackend`].
 pub struct RpcBackend {
     workers: Vec<WorkerHandle>,
-    /// Join handles for the reactor's pooled worker-fleet threads (one per
-    /// pool thread, not per participant); empty in the other modes.
+    /// Join handles for the pooled worker-fleet threads (one per pool
+    /// thread, not per participant).
     pool_joins: Vec<JoinHandle<()>>,
     config: RpcConfig,
     /// Mask and expected flat-gradient length shipped to each
@@ -307,7 +302,7 @@ pub struct RpcBackend {
     expected_lens: Vec<usize>,
     /// Times any reusable hot-path buffer (server download frames and
     /// staging above, worker codec/frame scratch) grew its capacity;
-    /// shared with every worker thread. Debug observability for the
+    /// shared with every fleet thread. Debug observability for the
     /// zero-steady-state-allocation contract.
     growth: Arc<AtomicU64>,
 }
@@ -343,46 +338,19 @@ impl RpcBackend {
             .collect();
         let growth = Arc::new(AtomicU64::new(0));
         let n = participants.len();
-        // the reactor drives all participants from a bounded pool; the
-        // other modes keep the legacy thread-per-participant fleet
-        let (workers, pool_joins) = if config.engine == EngineMode::Reactor {
-            crate::reactor::spawn_pooled_workers(
-                participants,
-                net,
-                dataset,
-                faults,
-                &config.fault,
-                &residuals,
-                &growth,
-                config.real_time_scale,
-                config.transport,
-                config.reactor_threads,
-            )
-        } else {
-            let workers = match config.transport {
-                TransportKind::InMemory => spawn_channel_workers(
-                    participants,
-                    net,
-                    dataset,
-                    faults,
-                    &config.fault,
-                    &residuals,
-                    &growth,
-                    config.real_time_scale,
-                ),
-                TransportKind::Tcp => spawn_tcp_workers(
-                    participants,
-                    net,
-                    dataset,
-                    faults,
-                    &config.fault,
-                    &residuals,
-                    &growth,
-                    config.real_time_scale,
-                ),
-            };
-            (workers, Vec::new())
-        };
+        // both engines drive all participants from one bounded pool
+        let (workers, pool_joins) = crate::reactor::spawn_pooled_workers(
+            participants,
+            net,
+            dataset,
+            faults,
+            &config.fault,
+            &residuals,
+            &growth,
+            config.real_time_scale,
+            config.transport,
+            config.reactor_threads,
+        );
         RpcBackend {
             workers,
             pool_joins,
@@ -400,8 +368,8 @@ impl RpcBackend {
         }
     }
 
-    /// Number of live worker threads (evicted ones included — their links
-    /// are still up).
+    /// Number of live workers (evicted ones included — their links are
+    /// still up).
     pub fn live_workers(&self) -> usize {
         self.workers.iter().filter(|w| w.alive).count()
     }
@@ -445,158 +413,24 @@ pub(crate) fn wrap_link(
     )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn spawn_one(
-    transport: Box<dyn Transport>,
-    participant: Participant,
-    net: SupernetConfig,
-    dataset: SyntheticDataset,
-    fault: ScriptedFault,
-    residual: Arc<Mutex<Vec<f32>>>,
-    growth: Arc<AtomicU64>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        worker_loop(
-            transport,
-            participant,
-            net,
-            dataset,
-            fault,
-            residual,
-            growth,
-        )
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_channel_workers(
-    participants: &[Participant],
-    net: &SupernetConfig,
-    dataset: &SyntheticDataset,
-    faults: &[ScriptedFault],
-    plan: &FaultPlan,
-    residuals: &[Arc<Mutex<Vec<f32>>>],
-    growth: &Arc<AtomicU64>,
-    time_scale: f64,
-) -> Vec<WorkerHandle> {
-    participants
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let (server_end, worker_end) = ChannelTransport::pair();
-            let join = spawn_one(
-                Box::new(worker_end),
-                p.clone(),
-                net.clone(),
-                dataset.clone(),
-                faults.get(i).copied().unwrap_or_default(),
-                residuals[i].clone(),
-                growth.clone(),
-            );
-            WorkerHandle {
-                transport: Some(wrap_link(Box::new(server_end), i, plan, time_scale)),
-                join: Some(join),
-                alive: true,
-                evicted: false,
-                miss_streak: 0,
-                reject_streak: 0,
-            }
-        })
-        .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_tcp_workers(
-    participants: &[Participant],
-    net: &SupernetConfig,
-    dataset: &SyntheticDataset,
-    faults: &[ScriptedFault],
-    plan: &FaultPlan,
-    residuals: &[Arc<Mutex<Vec<f32>>>],
-    growth: &Arc<AtomicU64>,
-    time_scale: f64,
-) -> Vec<WorkerHandle> {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-    let addr = listener.local_addr().expect("listener address");
-    let joins: Vec<JoinHandle<()>> = participants
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let participant = p.clone();
-            let net = net.clone();
-            let dataset = dataset.clone();
-            let fault = faults.get(i).copied().unwrap_or_default();
-            let residual = residuals[i].clone();
-            let growth = growth.clone();
-            let id = p.id();
-            std::thread::spawn(move || {
-                let stream = std::net::TcpStream::connect(addr).expect("connect loopback");
-                let mut transport: Box<dyn Transport> =
-                    Box::new(TcpTransport::new(stream).expect("wrap stream"));
-                // handshake: identify this connection to the server
-                let _ = transport.send(&encode(&Message::Heartbeat {
-                    participant: id as u32,
-                }));
-                worker_loop(
-                    transport,
-                    participant,
-                    net,
-                    dataset,
-                    fault,
-                    residual,
-                    growth,
-                );
-            })
-        })
-        .collect();
-    // accept one connection per participant; the handshake heartbeat says
-    // which worker is on the other end
-    let mut slots: Vec<Option<Link>> = (0..participants.len()).map(|_| None).collect();
-    for _ in 0..participants.len() {
-        let (stream, _) = listener.accept().expect("accept worker connection");
-        let mut t = TcpTransport::new(stream).expect("wrap accepted stream");
-        let frame = t
-            .recv_timeout(Duration::from_secs(10))
-            .expect("handshake frame");
-        let id = match decode(&frame) {
-            Ok(Message::Heartbeat { participant }) => participant as usize,
-            other => panic!("expected handshake heartbeat, got {other:?}"),
-        };
-        slots[id] = Some(wrap_link(
-            Box::new(t) as Box<dyn Transport>,
-            id,
-            plan,
-            time_scale,
-        ));
-    }
-    slots
-        .into_iter()
-        .zip(joins)
-        .map(|(transport, join)| WorkerHandle {
-            transport: Some(transport.expect("every worker handshook")),
-            join: Some(join),
-            alive: true,
-            evicted: false,
-            miss_streak: 0,
-            reject_streak: 0,
-        })
-        .collect()
-}
-
 /// What [`WorkerState::handle_frame`] tells the worker's drive loop to do.
 pub(crate) enum FrameOutcome {
     /// Keep servicing this participant's link.
     Continue,
     /// The scripted `die_at_round` fired: drop the link, no reply.
     Exit,
+    /// The scripted `delay` fired: hold this frame (and everything queued
+    /// behind it on the link) for the given time, then hand the same frame
+    /// back to [`WorkerState::handle_frame`].
+    Park(Duration),
 }
 
-/// The participant side of one link, factored out of the per-worker
-/// thread loop so the reactor's pooled fleet can drive many participants
-/// from one thread. All per-participant state lives here (reply cache,
-/// codec scratch, crash script, attack memory); the supernet *structure*
-/// is shared by every participant on a pool thread because weights always
-/// arrive over the wire — nothing training-relevant ever persists in it.
+/// The participant side of one link, so the pooled fleet can drive many
+/// participants from one thread. All per-participant state lives here
+/// (reply cache, codec scratch, crash script, attack memory); the
+/// supernet *structure* is shared by every participant on a pool thread
+/// because weights always arrive over the wire — nothing
+/// training-relevant ever persists in it.
 pub(crate) struct WorkerState {
     participant: Participant,
     fault: ScriptedFault,
@@ -742,7 +576,9 @@ impl WorkerState {
         }
         if let Some((r, d)) = self.fault.delay {
             if r == round as usize {
-                std::thread::sleep(d);
+                // fires once: the parked frame comes back through here
+                self.fault.delay = None;
+                return FrameOutcome::Park(d);
             }
         }
         let mut sub = supernet.extract_submodel(&mask);
@@ -851,34 +687,6 @@ impl WorkerState {
     }
 }
 
-/// The per-participant worker thread: blocks on downloads and drives a
-/// dedicated [`WorkerState`]. The reactor's pooled fleet replaces this
-/// blocking loop with readiness sweeps over many states per thread.
-fn worker_loop(
-    mut transport: Box<dyn Transport>,
-    participant: Participant,
-    net: SupernetConfig,
-    dataset: SyntheticDataset,
-    fault: ScriptedFault,
-    residual: Arc<Mutex<Vec<f32>>>,
-    growth: Arc<AtomicU64>,
-) {
-    let id = participant.id();
-    // structure only — every weight is overwritten from the wire
-    let mut structure_rng = StdRng::seed_from_u64(0x5EED ^ id as u64);
-    let mut supernet = Supernet::new(net, &mut structure_rng);
-    let theta_len = supernet.param_count();
-    let mut state = WorkerState::new(participant, fault, residual, growth);
-    // loop ends when the server hangs up or the socket dies
-    while let Ok(frame) = transport.recv() {
-        if let FrameOutcome::Exit =
-            state.handle_frame(&mut supernet, theta_len, &dataset, &mut transport, &frame)
-        {
-            return;
-        }
-    }
-}
-
 /// A classified upload reply.
 enum Reply {
     /// A usable update: legacy fp32, or a codec run that decoded cleanly
@@ -973,8 +781,8 @@ fn classify_reply(msg: Message, sent: &HashMap<(usize, usize), (ArchMask, usize)
 
 /// Everything one worker's phase-2 interaction produced. Committed into
 /// the round outcome strictly in participant order by
-/// [`merge_worker_round`], so the pipelined engine updates every data
-/// structure the next round reads exactly as the serial reference would.
+/// [`merge_worker_round`], so the reactor updates every data structure
+/// the next round reads exactly as the serial reference would.
 #[derive(Default)]
 pub(crate) struct WorkerRound {
     pub(crate) reports: Vec<BackendReport>,
@@ -997,23 +805,23 @@ pub(crate) struct WorkerRound {
     pub(crate) validate_ns: u64,
 }
 
-/// Synchronizes concurrent collectors on the set of successful downloads
-/// so the quorum target is derived from the same population the serial
-/// engine sees: workers that were eligible at ship time *and* whose
-/// download actually went out. Every spawned collector records its send
-/// outcome; [`SendGate::target`] blocks until all have, then computes the
-/// target from the survivors — exactly serial's post-ship `eligible`.
+/// Tracks the round's first download sends across the reactor's
+/// collectors so the quorum target is derived from the same population
+/// the serial engine sees: workers that were eligible at ship time *and*
+/// whose download actually went out. Each collector records a link's send
+/// outcome when that scheduled send happens; [`SendGate::target`] stays
+/// `None` until every link has, then yields serial's post-ship target.
 pub(crate) struct SendGate {
-    spawned: usize,
+    links: usize,
     frac: f64,
     done: AtomicUsize,
     failed: AtomicUsize,
 }
 
 impl SendGate {
-    pub(crate) fn new(spawned: usize, frac: f64) -> Self {
+    pub(crate) fn new(links: usize, frac: f64) -> Self {
         SendGate {
-            spawned,
+            links,
             frac,
             done: AtomicUsize::new(0),
             failed: AtomicUsize::new(0),
@@ -1027,84 +835,21 @@ impl SendGate {
         self.done.fetch_add(1, Ordering::Release);
     }
 
-    pub(crate) fn target(&self) -> usize {
-        // sends are bounded by the shaped-link sleep, so this settles in
-        // at most one download's transmission time
-        while self.done.load(Ordering::Acquire) < self.spawned {
-            std::thread::sleep(Duration::from_micros(50));
+    /// The quorum target, or `None` while some download has yet to go
+    /// out — the quorum counts as unmet until then.
+    pub(crate) fn target(&self) -> Option<usize> {
+        if self.done.load(Ordering::Acquire) < self.links {
+            return None;
         }
-        let eligible = self.spawned - self.failed.load(Ordering::Relaxed);
-        ((self.frac * eligible as f64).ceil() as usize).clamp(1, eligible.max(1))
+        let eligible = self.links - self.failed.load(Ordering::Relaxed);
+        Some(quorum_target(self.frac, eligible))
     }
 }
 
-/// Where [`collect_worker`] gets its quorum target from.
-#[derive(Clone, Copy)]
-enum QuorumSource<'a> {
-    /// Precomputed by the caller (serial mode: after the ship loop).
-    Fixed(usize),
-    /// Resolved from a [`SendGate`] once every concurrent download has
-    /// been attempted (pipelined mode).
-    Gate(&'a SendGate),
-}
-
-/// How [`collect_worker`] waits for a reply.
-#[derive(Clone, Copy)]
-enum WaitMode {
-    /// One blocking `recv_timeout` per logical wait; the quorum counter
-    /// is consulted once up front — the serial reference behaviour.
-    Blocking,
-    /// Millisecond-sliced waits that re-check the shared quorum counter
-    /// between slices, so a concurrent collector notices a quorum met by
-    /// its peers and collapses its remaining budget to the drain window.
-    Sliced,
-}
-
-/// One logical wait for a reply frame under the quorum rule: a worker
-/// whose quorum is already met only gets the short `drain` window
-/// ([`RpcConfig::quorum_drain`]); otherwise the full per-attempt deadline.
-fn wait_reply(
-    link: &mut Link,
-    mode: WaitMode,
-    on_time: &AtomicUsize,
-    quorum_target: usize,
-    deadline: Duration,
-    drain: Duration,
-) -> Result<Vec<u8>, TransportError> {
-    match mode {
-        WaitMode::Blocking => {
-            let met = on_time.load(Ordering::Relaxed) >= quorum_target;
-            let wait = if met { drain } else { deadline };
-            link.recv_timeout(wait)
-        }
-        WaitMode::Sliced => {
-            const SLICE: Duration = Duration::from_millis(1);
-            let mut elapsed = Duration::ZERO;
-            // the drain clock starts when the quorum transition is first
-            // observed — a straggler gets the full drain window of fresh
-            // waiting from that moment, mirroring the serial engine's
-            // fresh drain window per straggler
-            let mut met_at: Option<Duration> = None;
-            loop {
-                if met_at.is_none() && on_time.load(Ordering::Relaxed) >= quorum_target {
-                    met_at = Some(elapsed);
-                }
-                let (budget, base) = match met_at {
-                    Some(m) => (drain, m),
-                    None => (deadline, Duration::ZERO),
-                };
-                let spent = elapsed - base;
-                if spent >= budget {
-                    return Err(TransportError::Timeout);
-                }
-                let wait = (budget - spent).min(SLICE);
-                match link.recv_timeout(wait) {
-                    Err(TransportError::Timeout) => elapsed += wait,
-                    other => return other,
-                }
-            }
-        }
-    }
+/// Workers whose on-time reply commits the round: `⌈frac · eligible⌉`,
+/// at least one.
+fn quorum_target(frac: f64, eligible: usize) -> usize {
+    ((frac * eligible as f64).ceil() as usize).clamp(1, eligible.max(1))
 }
 
 /// What [`absorb_reply_frame`] tells the caller to do next.
@@ -1119,10 +864,10 @@ pub(crate) enum FrameStep {
 
 /// Absorbs one received reply frame into a [`WorkerRound`]: decode,
 /// classify, deduplicate, late-attribute, and run the validation gate on
-/// on-time reports. This is the single shared frame path for all three
-/// engine modes — blocking collectors call it from their wait loop, the
-/// reactor calls it from its readiness sweep — so classification and gate
-/// semantics cannot drift between modes.
+/// on-time reports. This is the single shared frame path for both engine
+/// modes — the serial collector calls it from its wait loop, the reactor
+/// from its readiness sweep — so classification and gate semantics cannot
+/// drift between modes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn absorb_reply_frame(
     wr: &mut WorkerRound,
@@ -1227,14 +972,13 @@ pub(crate) fn absorb_reply_frame(
     }
 }
 
-/// Phase 2 for a single worker: (optionally) ship its download, then wait
-/// for its reply under deadline + quorum + bounded retry, decoding and
-/// validating whatever arrives. Mutates only this worker's handle; every
+/// Serial phase 2 for a single worker: wait for its reply under the
+/// deadline, quorum and bounded-retry rules, decoding and validating
+/// whatever arrives. Mutates only this worker's handle; every
 /// cross-worker effect is returned in the [`WorkerRound`] and committed
-/// by [`merge_worker_round`] in participant order. `delivered` is the
-/// global set as of the start of phase 2 — complete for this link's keys
-/// because only this link delivers them (local additions are tracked in
-/// the result).
+/// by [`merge_worker_round`]. `delivered` is the global set as of the
+/// start of phase 2 — complete for this link's keys because only this
+/// link delivers them (local additions are tracked in the result).
 #[allow(clippy::too_many_arguments)]
 fn collect_worker(
     p: usize,
@@ -1247,44 +991,22 @@ fn collect_worker(
     sent_masks: &HashMap<(usize, usize), (ArchMask, usize)>,
     delivered: &HashSet<(usize, usize)>,
     on_time: &AtomicUsize,
-    quorum: QuorumSource<'_>,
-    bandwidth_mbps: f64,
-    wait: WaitMode,
-    send_first: bool,
+    quorum_target: usize,
 ) -> WorkerRound {
     let mut wr = WorkerRound::default();
     let transport = w.transport.as_mut().expect("live worker has transport");
-    if send_first {
-        let ship_start = Instant::now();
-        transport.set_mbps(bandwidth_mbps);
-        let sent = transport.send(frame);
-        if let QuorumSource::Gate(gate) = quorum {
-            gate.record(sent.is_ok());
-        }
-        match sent {
-            Ok(()) => wr.bytes_down += frame.len() as u64,
-            Err(_) => {
-                w.alive = false;
-                return wr;
-            }
-        }
-        wr.ship_ns = ship_start.elapsed().as_nanos() as u64;
-    }
-    let quorum_target = match quorum {
-        QuorumSource::Fixed(n) => n,
-        QuorumSource::Gate(gate) => gate.target(),
-    };
     let mut attempts = 0usize;
     loop {
+        // once the quorum has reported, a straggler only gets the short
+        // drain window instead of the full per-attempt deadline
+        let quorum_met = on_time.load(Ordering::Relaxed) >= quorum_target;
+        let wait = if quorum_met {
+            config.quorum_drain
+        } else {
+            config.deadline
+        };
         let wait_start = Instant::now();
-        let received = wait_reply(
-            transport,
-            wait,
-            on_time,
-            quorum_target,
-            config.deadline,
-            config.quorum_drain,
-        );
+        let received = transport.recv_timeout(wait);
         wr.collect_ns = wr
             .collect_ns
             .saturating_add(wait_start.elapsed().as_nanos() as u64);
@@ -1347,8 +1069,8 @@ fn readmit(w: &mut WorkerHandle, out: &mut RoundOutcome) {
 }
 
 /// Commits one worker's phase-2 results into the round outcome and
-/// applies the miss/reject streak + eviction transition — the same state
-/// commit the serial engine performs inline after each worker's loop.
+/// applies the miss/reject streak + eviction transition. Both engines
+/// call it in participant order.
 fn merge_worker_round(
     out: &mut RoundOutcome,
     delivered: &mut HashSet<(usize, usize)>,
@@ -1470,9 +1192,9 @@ impl RoundBackend for RpcBackend {
             }
         }
         // --- phase 1: encode downloads into reusable frame buffers ---
-        // All frames are staged before anything ships, so the pipelined
-        // mode can hand each collector thread an immutable `&[u8]` and the
-        // serial mode replays the exact legacy send loop over them.
+        // All frames are staged before anything ships, so the reactor's
+        // collector threads share them as immutable `&[u8]` and the serial
+        // mode replays the exact legacy send loop over them.
         let prep_start = Instant::now();
         if download_frames.len() < k {
             download_frames.resize_with(k, Vec::new);
@@ -1527,42 +1249,38 @@ impl RoundBackend for RpcBackend {
             .ship_ns
             .saturating_add(prep_start.elapsed().as_nanos() as u64);
         let frames: &[Vec<u8>] = download_frames;
-        if config.engine == EngineMode::Serial {
-            // serial reference: ship every download up front, workers
-            // train in parallel, then collect strictly in participant
-            // order below
-            let ship_start = Instant::now();
-            for (p, w) in workers.iter_mut().enumerate().take(k) {
-                if w.alive && !w.evicted && is_active(p) {
-                    let transport = w.transport.as_mut().expect("live worker has transport");
-                    transport.set_mbps(bandwidths[p]);
-                    match transport.send(&frames[p]) {
-                        Ok(()) => out.bytes_down += frames[p].len() as u64,
-                        Err(_) => w.alive = false,
-                    }
-                }
-            }
-            out.timings.ship_ns = out
-                .timings
-                .ship_ns
-                .saturating_add(ship_start.elapsed().as_nanos() as u64);
-        }
-        // --- phase 2: collect replies under deadline + quorum + retry ---
-        // once the quorum has reported, stragglers only get a short drain
-        // window and no retransmissions
-        let eligible = workers
-            .iter()
-            .enumerate()
-            .take(k)
-            .filter(|(p, w)| w.alive && !w.evicted && is_active(*p))
-            .count();
-        let quorum_target =
-            ((config.quorum_frac * eligible as f64).ceil() as usize).clamp(1, eligible.max(1));
+        // --- phase 2: ship, then collect replies under deadline + quorum
+        // + retry; once the quorum has reported, stragglers only get a
+        // short drain window and no retransmissions ---
+        let is_eligible = |p: usize, w: &WorkerHandle| w.alive && !w.evicted && is_active(p);
         let on_time = AtomicUsize::new(0);
         match config.engine {
             EngineMode::Serial => {
+                // serial reference: ship every download up front (shaped
+                // sends sleep inline) while the fleet trains, then collect
+                // strictly in participant order
+                let ship_start = Instant::now();
                 for (p, w) in workers.iter_mut().enumerate().take(k) {
-                    if !w.alive || w.evicted || !is_active(p) {
+                    if is_eligible(p, w) {
+                        let transport = w.transport.as_mut().expect("live worker has transport");
+                        transport.set_mbps(bandwidths[p]);
+                        match transport.send(&frames[p]) {
+                            Ok(()) => out.bytes_down += frames[p].len() as u64,
+                            Err(_) => w.alive = false,
+                        }
+                    }
+                }
+                out.timings.ship_ns = out
+                    .timings
+                    .ship_ns
+                    .saturating_add(ship_start.elapsed().as_nanos() as u64);
+                // the quorum counts only workers whose download went out
+                let eligible = (0..k.min(workers.len()))
+                    .filter(|&p| is_eligible(p, &workers[p]))
+                    .count();
+                let target = quorum_target(config.quorum_frac, eligible);
+                for (p, w) in workers.iter_mut().enumerate().take(k) {
+                    if !is_eligible(p, w) {
                         continue;
                     }
                     let wr = collect_worker(
@@ -1576,98 +1294,45 @@ impl RoundBackend for RpcBackend {
                         sent_masks,
                         delivered,
                         &on_time,
-                        QuorumSource::Fixed(quorum_target),
-                        bandwidths[p],
-                        WaitMode::Blocking,
-                        false,
+                        target,
                     );
                     merge_worker_round(&mut out, delivered, w, wr, config);
-                }
-            }
-            EngineMode::Pipelined => {
-                // one scoped collector per eligible worker: the shaped
-                // send, the deadline wait, decode and the validation gate
-                // all overlap across links. Collectors read the global
-                // `sent_masks`/`delivered` snapshots immutably — link p
-                // only ever carries participant p's replies, so local
-                // additions are disjoint — and results are committed in
-                // participant order below, bit-identically to serial.
-                let sent_ref: &HashMap<(usize, usize), (ArchMask, usize)> = sent_masks;
-                let delivered_ref: &HashSet<(usize, usize)> = delivered;
-                let on_time_ref = &on_time;
-                // `eligible` here is the pre-send population — the gate
-                // subtracts failed sends so every collector derives the
-                // same post-ship quorum target the serial engine computes
-                let gate = SendGate::new(eligible, config.quorum_frac);
-                let gate_ref = &gate;
-                let rounds: Vec<Option<WorkerRound>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = workers
-                        .iter_mut()
-                        .enumerate()
-                        .take(k)
-                        .map(|(p, w)| {
-                            if !w.alive || w.evicted || !is_active(p) {
-                                return None;
-                            }
-                            let frame = &frames[p];
-                            let expected_len = expected_lens[p];
-                            let mask = &masks[p];
-                            let mbps = bandwidths[p];
-                            Some(scope.spawn(move || {
-                                collect_worker(
-                                    p,
-                                    t,
-                                    w,
-                                    config,
-                                    frame,
-                                    expected_len,
-                                    mask,
-                                    sent_ref,
-                                    delivered_ref,
-                                    on_time_ref,
-                                    QuorumSource::Gate(gate_ref),
-                                    mbps,
-                                    WaitMode::Sliced,
-                                    true,
-                                )
-                            }))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.map(|h| h.join().expect("collector thread panicked")))
-                        .collect()
-                });
-                for (p, wr) in rounds.into_iter().enumerate() {
-                    if let Some(wr) = wr {
-                        merge_worker_round(&mut out, delivered, &mut workers[p], wr, config);
-                    }
                 }
             }
             EngineMode::Reactor => {
                 // bounded collector pool: T scoped threads, each driving a
                 // contiguous chunk of links through nonblocking readiness
-                // sweeps with per-link deadline/retry/drain state machines.
-                // Shared snapshots and the send gate work exactly as in
-                // pipelined mode; chunks are contiguous and each returns
-                // its results in participant order, so the commit loop
-                // below is the same in-order merge as the other modes.
+                // sweeps with per-link scheduled-send/deadline/retry/drain
+                // state machines. Collectors read the global
+                // `sent_masks`/`delivered` snapshots immutably — link p
+                // only ever carries participant p's replies, so local
+                // additions are disjoint — and the send gate holds the
+                // quorum back until every download has gone out. Chunks
+                // are contiguous and each returns its results in
+                // participant order, so the commit loop below is the same
+                // in-order merge as serial.
                 let kk = k.min(workers.len());
                 let eligibility: Vec<bool> = workers
                     .iter()
                     .enumerate()
                     .take(kk)
-                    .map(|(p, w)| w.alive && !w.evicted && is_active(p))
+                    .map(|(p, w)| is_eligible(p, w))
                     .collect();
+                let eligible = eligibility.iter().filter(|&&e| e).count();
                 let threads = crate::reactor::pool_size(config.reactor_threads, eligible.max(1));
                 let chunk_len = kk.div_ceil(threads).max(1);
                 let sent_ref: &HashMap<(usize, usize), (ArchMask, usize)> = sent_masks;
                 let delivered_ref: &HashSet<(usize, usize)> = delivered;
                 let on_time_ref = &on_time;
+                // `eligible` is the pre-send population — the gate
+                // subtracts failed sends so every collector derives the
+                // same post-ship quorum target the serial engine computes
                 let gate = SendGate::new(eligible, config.quorum_frac);
                 let gate_ref = &gate;
                 let lens: &[usize] = expected_lens;
                 let elig_ref: &[bool] = &eligibility;
+                // every chunk schedules its shaped sends from this instant
+                let start = Instant::now();
                 let rounds: Vec<(usize, WorkerRound)> = std::thread::scope(|scope| {
                     let handles: Vec<_> = workers[..kk]
                         .chunks_mut(chunk_len)
@@ -1679,6 +1344,7 @@ impl RoundBackend for RpcBackend {
                                     chunk,
                                     base,
                                     t,
+                                    start,
                                     config,
                                     frames,
                                     lens,
@@ -1737,17 +1403,11 @@ impl RoundBackend for RpcBackend {
 
 impl Drop for RpcBackend {
     fn drop(&mut self) {
-        // closing the transports unblocks every worker's recv() with
-        // `Closed`; then the threads can be joined
+        // closing the transports makes every worker-side poll report
+        // `Closed`; a fleet thread exits once all of its links have
         for w in &mut self.workers {
             w.transport = None;
         }
-        for w in &mut self.workers {
-            if let Some(join) = w.join.take() {
-                let _ = join.join();
-            }
-        }
-        // the reactor's pooled fleet exits once every link reports Closed
         for join in self.pool_joins.drain(..) {
             let _ = join.join();
         }
@@ -1842,7 +1502,6 @@ mod tests {
         };
         let mut w = WorkerHandle {
             transport: None,
-            join: None,
             alive: true,
             evicted: false,
             miss_streak: 0,

@@ -21,11 +21,13 @@
 //!   scaling, Gaussian noise, collusion, stale replay, NaN floods) applied
 //!   to the uploaded model update only, so the server-side validation gate
 //!   and robust aggregators are exercised under reproducible attacks.
-//! * [`engine`] — one worker thread per participant behind a per-round
-//!   deadline with bounded saturating/jittered retry backoff; late replies
-//!   flow into the server's soft-synchronization staleness path. Quorum
-//!   commit, eviction of repeatedly silent workers and heartbeat
-//!   re-admission degrade gracefully under faults. Implements the
+//! * [`engine`] — one link per participant served by a pooled worker
+//!   fleet, collected by the serial reference or the event-driven reactor
+//!   under a per-round deadline with bounded saturating/jittered retry
+//!   backoff; late replies flow into the server's soft-synchronization
+//!   staleness path. Quorum commit, eviction of repeatedly silent workers
+//!   and heartbeat re-admission degrade gracefully under faults.
+//!   Implements the
 //!   [`RoundBackend`](fedrlnas_core::RoundBackend) seam, so
 //!   [`SearchServer`](fedrlnas_core::SearchServer) runs unmodified on top
 //!   and `CommStats` records the bytes that actually crossed the wire.

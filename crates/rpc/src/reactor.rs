@@ -1,39 +1,41 @@
-//! Event-driven scale engine: a bounded reactor instead of a thread per
+//! Event-driven scale engine: bounded pools instead of a thread per
 //! participant.
 //!
-//! The legacy modes cost two OS threads per participant (one worker, one
-//! pipelined collector) — fine at 64, hopeless at 10k. This module drives
-//! both sides of every link from bounded pools sized by
+//! Both sides of every link are driven from bounded pools sized by
 //! [`RpcConfig::reactor_threads`] (default: the `FEDRLNAS_NUM_THREADS`
 //! convention, falling back to the machine's parallelism):
 //!
-//! * **Worker fleet** — participants are split into contiguous shards, one
-//!   pool thread per shard. Each thread owns *one* supernet structure
-//!   (weights always arrive over the wire, so nothing training-relevant
-//!   lives in it) plus a [`WorkerState`] per participant, and sweeps its
-//!   links with the nonblocking [`Transport::poll_recv`] readiness probe,
-//!   sleeping briefly only when a full sweep finds nothing. A thread exits
-//!   once every one of its links has closed.
-//! * **Server collector** — phase 2 partitions the eligible links into
-//!   contiguous chunks, one scoped pool thread per chunk. Each link gets a
-//!   small state machine (attempt count, wait-window start, quorum-drain
-//!   clock, scheduled retransmit time) that reproduces the sliced wait's
-//!   semantics — full per-attempt deadline before the quorum, a fresh
-//!   [`RpcConfig::quorum_drain`] window from the moment the quorum
-//!   transition is observed, bounded backed-off retransmits — without ever
-//!   blocking on a single link.
+//! * **Worker fleet** (both engine modes) — participants are split into
+//!   contiguous shards, one pool thread per shard. Each thread owns *one*
+//!   supernet structure (weights always arrive over the wire, so nothing
+//!   training-relevant lives in it) plus a [`WorkerState`] per
+//!   participant, and sweeps its links with the nonblocking
+//!   [`Transport::poll_recv`] readiness probe, sleeping briefly only when
+//!   a full sweep finds nothing. A scripted `delay` *parks* its link: the
+//!   frame is stashed and handled once the delay expires, while the other
+//!   links of the shard keep running. A thread exits once every one of its
+//!   links has closed.
+//! * **Server collector** ([`EngineMode::Reactor`](crate::EngineMode)) —
+//!   phase 2 partitions the eligible links into contiguous chunks, one
+//!   scoped pool thread per chunk. Each link gets a small state machine
+//!   (scheduled send time, attempt count, wait-window start, quorum-drain
+//!   clock) that sends each download when its shaped transmission time
+//!   since the round start falls due — retransmits reuse the same
+//!   scheduled-send slot after their backoff — and otherwise waits out the
+//!   per-attempt deadline, a fresh [`RpcConfig::quorum_drain`] window from
+//!   the moment the quorum transition is observed, and bounded backed-off
+//!   retransmits, without ever blocking on a single link or sleeping a
+//!   link delay.
 //!
 //! Determinism: the round outcome depends only on the *set* of on-time
 //! replies and the per-link content order (see `EngineMode`), both of
 //! which are preserved — every reply frame flows through the same
-//! `absorb_reply_frame` path as the other modes, links are shipped and
-//! committed in participant order, and the quorum target comes from the
-//! same [`SendGate`]. Fault-free full-quorum rounds are therefore
-//! bit-identical to serial and pipelined; under partial quorum or injected
-//! faults the reactor inherits exactly the timing sensitivity the sliced
-//! pipelined wait already has. Scripted per-worker `delay` faults sleep on
-//! the pool thread and so stall that *shard*, not just one participant —
-//! test-harness scripting, not a production path.
+//! `absorb_reply_frame` path as the serial reference, links are committed
+//! in participant order, and the quorum target comes from the same
+//! [`SendGate`] population. Fault-free full-quorum rounds are therefore
+//! bit-identical to serial; under partial quorum or injected faults the
+//! outcome depends on which replies beat their deadlines, as it does in
+//! serial.
 
 use std::collections::{HashMap, HashSet};
 use std::net::TcpListener;
@@ -88,11 +90,9 @@ type FleetMember = (
 /// connects its own sockets).
 type PendingMember = (Participant, ScriptedFault, Arc<Mutex<Vec<f32>>>);
 
-/// Spawns the pooled worker fleet for [`EngineMode::Reactor`]
-/// (`EngineMode` in [`crate::engine`]): participants are partitioned into
+/// Spawns the pooled worker fleet: participants are partitioned into
 /// contiguous shards, each driven by one pool thread. Returns the
-/// server-side handles (all with `join: None`) plus the pool threads'
-/// join handles.
+/// server-side handles plus the pool threads' join handles.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_pooled_workers(
     participants: &[Participant],
@@ -120,7 +120,6 @@ pub(crate) fn spawn_pooled_workers(
                     let (server_end, worker_end) = ChannelTransport::pair();
                     handles.push(WorkerHandle {
                         transport: Some(wrap_link(Box::new(server_end), i, plan, time_scale)),
-                        join: None,
                         alive: true,
                         evicted: false,
                         miss_streak: 0,
@@ -202,7 +201,6 @@ pub(crate) fn spawn_pooled_workers(
                 .into_iter()
                 .map(|transport| WorkerHandle {
                     transport: Some(transport.expect("every worker handshook")),
-                    join: None,
                     alive: true,
                     evicted: false,
                     miss_streak: 0,
@@ -215,11 +213,12 @@ pub(crate) fn spawn_pooled_workers(
 }
 
 /// Drives one shard of the worker fleet: readiness-sweeps every open link,
-/// handling frames through the same [`WorkerState`] path as the dedicated
-/// worker threads, and exits once all links have closed. One supernet
-/// *structure* serves the whole shard — every weight is overwritten from
-/// the wire before use, so sharing it cannot leak state across
-/// participants.
+/// handling frames through each participant's [`WorkerState`], and exits
+/// once all links have closed. A parked link (scripted delay) is not
+/// polled until its stashed frame is due, so its queued frames keep their
+/// order. One supernet *structure* serves the whole shard — every weight
+/// is overwritten from the wire before use, so sharing it cannot leak
+/// state across participants.
 fn fleet_loop(
     fleet: Vec<FleetMember>,
     net: SupernetConfig,
@@ -244,38 +243,50 @@ fn fleet_loop(
             growth.clone(),
         ));
     }
+    let mut parked: Vec<Option<(Instant, Vec<u8>)>> = (0..links.len()).map(|_| None).collect();
     let mut open = links.len();
     while open > 0 {
         let mut progressed = false;
         for (i, slot) in links.iter_mut().enumerate() {
+            let Some(transport) = slot.as_mut() else {
+                continue;
+            };
+            let now = Instant::now();
+            let mut next = parked[i].take_if(|(due, _)| *due <= now).map(|(_, f)| f);
             let mut close = false;
-            if let Some(transport) = slot.as_mut() {
-                // drain everything this link has ready before moving on —
-                // per-link content order is what determinism rests on
-                loop {
-                    match transport.poll_recv() {
-                        Ok(Some(frame)) => {
-                            progressed = true;
-                            if let FrameOutcome::Exit = states[i].handle_frame(
-                                &mut supernet,
-                                theta_len,
-                                &dataset,
-                                &mut **transport,
-                                &frame,
-                            ) {
-                                close = true;
-                                break;
-                            }
-                        }
+            // drain everything this link has ready before moving on —
+            // per-link content order is what determinism rests on
+            loop {
+                let frame = match next.take() {
+                    Some(frame) => frame,
+                    None if parked[i].is_some() => break, // still parked
+                    None => match transport.poll_recv() {
+                        Ok(Some(frame)) => frame,
                         Ok(None) => break,
                         Err(_) => {
                             close = true;
                             break;
                         }
+                    },
+                };
+                progressed = true;
+                match states[i].handle_frame(
+                    &mut supernet,
+                    theta_len,
+                    &dataset,
+                    &mut **transport,
+                    &frame,
+                ) {
+                    FrameOutcome::Continue => {}
+                    FrameOutcome::Exit => {
+                        close = true;
+                        break;
+                    }
+                    FrameOutcome::Park(delay) => {
+                        parked[i] = Some((Instant::now() + delay, frame));
+                        break;
                     }
                 }
-            } else {
-                continue;
             }
             if close {
                 *slot = None;
@@ -289,39 +300,43 @@ fn fleet_loop(
 }
 
 /// Per-link collector state machine, the reactor's replacement for one
-/// blocking `collect_worker` call.
+/// blocking serial wait.
 struct LinkCtx {
     /// Index within the chunk (`p - base`).
     idx: usize,
     /// Absolute participant index.
     p: usize,
     wr: WorkerRound,
+    /// Whether the round's first download has gone out.
+    sent: bool,
     /// Retransmissions performed so far.
     attempts: usize,
-    /// Start of the current wait window (initial ship or last resend) —
-    /// the per-attempt deadline is measured from here, exactly like one
-    /// `wait_reply` call.
+    /// Start of the current wait window (first send or last resend) — the
+    /// per-attempt deadline is measured from here.
     window_start: Instant,
     /// When this link first observed the quorum transition; from that
-    /// moment it gets a fresh [`RpcConfig::quorum_drain`] budget,
-    /// mirroring the sliced wait's fresh drain clock.
+    /// moment it gets a fresh [`RpcConfig::quorum_drain`] budget.
     met_at: Option<Instant>,
-    /// A scheduled retransmit (backoff in progress). While set, the link
-    /// is not polled — the blocking path sleeps through its backoff too.
-    resend_at: Option<Instant>,
+    /// A scheduled send: the first download once its shaped transmission
+    /// time has elapsed, or a retransmit once its backoff (plus the
+    /// transmission time) has. While set, the link is not polled — the
+    /// serial path is asleep in its send or backoff too.
+    send_at: Option<Instant>,
     done: bool,
 }
 
-/// Phase 2 for one contiguous chunk of workers: ship each eligible
-/// download in participant order, then drive every link's state machine
-/// through nonblocking readiness sweeps until all are settled. Returns
-/// `(participant, WorkerRound)` pairs in participant order; the caller
-/// commits them with `merge_worker_round` exactly like the other modes.
+/// Phase 2 for one contiguous chunk of workers: send each eligible
+/// download when `start` plus its shaped link delay falls due, and drive
+/// every link's state machine through nonblocking readiness sweeps until
+/// all are settled. Returns `(participant, WorkerRound)` pairs in
+/// participant order; the caller commits them with `merge_worker_round`
+/// exactly like serial.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn collect_chunk(
     chunk: &mut [WorkerHandle],
     base: usize,
     t: usize,
+    start: Instant,
     config: &RpcConfig,
     frames: &[Vec<u8>],
     expected_lens: &[usize],
@@ -333,43 +348,26 @@ pub(crate) fn collect_chunk(
     bandwidths: &[f64],
     eligible: &[bool],
 ) -> Vec<(usize, WorkerRound)> {
-    let mut results: Vec<(usize, WorkerRound)> = Vec::with_capacity(chunk.len());
     let mut ctxs: Vec<LinkCtx> = Vec::with_capacity(chunk.len());
-    // --- ship, in participant order within the chunk ---
     for (i, w) in chunk.iter_mut().enumerate() {
         let p = base + i;
         if !eligible[p] {
             continue;
         }
-        let mut wr = WorkerRound::default();
         let transport = w.transport.as_mut().expect("live worker has transport");
-        let ship_start = Instant::now();
         transport.set_mbps(bandwidths[p]);
-        let sent = transport.send(&frames[p]);
-        gate.record(sent.is_ok());
-        match sent {
-            Ok(()) => {
-                wr.bytes_down += frames[p].len() as u64;
-                wr.ship_ns = ship_start.elapsed().as_nanos() as u64;
-                ctxs.push(LinkCtx {
-                    idx: i,
-                    p,
-                    wr,
-                    attempts: 0,
-                    window_start: Instant::now(),
-                    met_at: None,
-                    resend_at: None,
-                    done: false,
-                });
-            }
-            Err(_) => {
-                w.alive = false;
-                results.push((p, wr));
-            }
-        }
+        ctxs.push(LinkCtx {
+            idx: i,
+            p,
+            wr: WorkerRound::default(),
+            sent: false,
+            attempts: 0,
+            window_start: start,
+            met_at: None,
+            send_at: Some(start + transport.delay(frames[p].len())),
+            done: false,
+        });
     }
-    // same post-ship quorum target every other collector derives
-    let target = gate.target();
     // --- event loop: sweep all undone links until each settles ---
     let mut remaining = ctxs.len();
     while remaining > 0 {
@@ -380,27 +378,34 @@ pub(crate) fn collect_chunk(
             }
             let w = &mut chunk[c.idx];
             let transport = w.transport.as_mut().expect("live worker has transport");
-            if let Some(at) = c.resend_at {
+            if let Some(at) = c.send_at {
                 if Instant::now() < at {
-                    continue; // backoff in progress: not listening, like the blocking path
+                    continue; // not due: not listening, like the serial path
                 }
-                c.resend_at = None;
-                c.attempts += 1;
-                c.wr.retransmits += 1;
-                match transport.send(&frames[c.p]) {
-                    Ok(()) => c.wr.bytes_down += frames[c.p].len() as u64,
-                    Err(_) => {
-                        w.alive = false;
-                        c.done = true;
-                        remaining -= 1;
-                        continue;
-                    }
+                c.send_at = None;
+                progressed = true;
+                // the link delay has already elapsed on the schedule, so
+                // the frame bypasses the shaping sleep
+                let send_start = Instant::now();
+                let sent = transport.inner_mut().send(&frames[c.p]);
+                if c.sent {
+                    c.attempts += 1;
+                    c.wr.retransmits += 1;
+                } else {
+                    c.sent = true;
+                    gate.record(sent.is_ok());
+                    c.wr.ship_ns = send_start.elapsed().as_nanos() as u64;
                 }
-                // a resend opens a fresh wait window, like each
-                // `wait_reply` call does in `collect_worker`
+                if sent.is_err() {
+                    w.alive = false;
+                    c.done = true;
+                    remaining -= 1;
+                    continue;
+                }
+                c.wr.bytes_down += frames[c.p].len() as u64;
+                // each send opens a fresh wait window
                 c.window_start = Instant::now();
                 c.met_at = None;
-                progressed = true;
             }
             let poll_start = Instant::now();
             let polled = transport.poll_recv();
@@ -428,7 +433,11 @@ pub(crate) fn collect_chunk(
                 }
                 Ok(None) => {
                     let now = Instant::now();
-                    if c.met_at.is_none() && on_time.load(Ordering::Relaxed) >= target {
+                    // unmet until every download of the round has gone out
+                    let quorum_met = gate
+                        .target()
+                        .is_some_and(|target| on_time.load(Ordering::Relaxed) >= target);
+                    if c.met_at.is_none() && quorum_met {
                         c.met_at = Some(now);
                     }
                     let expired = match c.met_at {
@@ -460,11 +469,12 @@ pub(crate) fn collect_chunk(
                         }
                         continue;
                     }
-                    let quorum_met = on_time.load(Ordering::Relaxed) >= target;
                     if !quorum_met && c.attempts < config.max_retries {
                         let salt = ((t as u64) << 32) | c.p as u64;
-                        c.resend_at =
-                            Some(now + backoff_delay(config.retry_backoff, c.attempts, salt));
+                        c.send_at = Some(
+                            now + backoff_delay(config.retry_backoff, c.attempts, salt)
+                                + transport.delay(frames[c.p].len()),
+                        );
                     } else {
                         c.done = true; // late: the reply, if any, surfaces next round
                         remaining -= 1;
@@ -481,11 +491,5 @@ pub(crate) fn collect_chunk(
             std::thread::sleep(IDLE_SWEEP);
         }
     }
-    for c in ctxs {
-        results.push((c.p, c.wr));
-    }
-    // ship failures were pushed eagerly; interleave them back into
-    // participant order for the in-order commit
-    results.sort_by_key(|(p, _)| *p);
-    results
+    ctxs.into_iter().map(|c| (c.p, c.wr)).collect()
 }

@@ -280,6 +280,20 @@ impl<T: Transport> ShapedTransport<T> {
         fedrlnas_netsim::transmission_secs(bytes, self.mbps)
     }
 
+    /// Real time a send of `bytes` is held back: the transmission time
+    /// stretched by `time_scale`, capped at five seconds. Zero when the
+    /// scale is zero. [`Transport::send`] sleeps it inline; an event loop
+    /// can instead schedule the send and hand the frame to
+    /// [`ShapedTransport::inner_mut`] once the delay has elapsed.
+    pub fn delay(&self, bytes: usize) -> Duration {
+        let secs = self.transmission_secs(bytes) * self.time_scale;
+        if secs > 0.0 {
+            Duration::from_secs_f64(secs.min(5.0))
+        } else {
+            Duration::ZERO
+        }
+    }
+
     /// The wrapped transport (for reaching fault counters and other
     /// wrapper-specific state through the shaping layer).
     pub fn inner_mut(&mut self) -> &mut T {
@@ -289,9 +303,9 @@ impl<T: Transport> ShapedTransport<T> {
 
 impl<T: Transport> Transport for ShapedTransport<T> {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        let secs = self.transmission_secs(frame.len()) * self.time_scale;
-        if secs > 0.0 {
-            std::thread::sleep(Duration::from_secs_f64(secs.min(5.0)));
+        let delay = self.delay(frame.len());
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
         }
         self.inner.send(frame)
     }

@@ -4,15 +4,18 @@
 //! bit-identical to the serial reference for the same seed: same
 //! genotype, same curves, same measured `CommStats`. Over both
 //! transports, under codecs, recoverable fault plans, crashes and
-//! adversaries, and with the pool deliberately smaller than the cohort so
-//! every thread drives several links.
+//! adversaries, on shaped links, and with the pool deliberately smaller
+//! than the cohort so every thread drives several links. Plus the
+//! reactor's own timing contracts — shaped sends overlap and a parked
+//! worker stalls nobody else — and the grow-only scratch-buffer contract:
+//! after the first few rounds the hot path stops allocating.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use fedrlnas_codec::CodecConfig;
+use fedrlnas_codec::{CodecConfig, CodecSpec};
 use fedrlnas_controller::Alpha;
 use fedrlnas_core::{
-    FederatedModelSearch, RoundBackend, RoundRequest, SearchConfig, SearchOutcome,
+    FederatedModelSearch, RoundBackend, RoundOutcome, RoundRequest, SearchConfig, SearchOutcome,
 };
 use fedrlnas_darts::{ArchMask, Supernet};
 use fedrlnas_rpc::{
@@ -82,6 +85,11 @@ fn bounded_pool(rpc: RpcConfig) -> RpcConfig {
         reactor_threads: 2,
         ..rpc
     }
+}
+
+#[test]
+fn reactor_is_the_default_engine() {
+    assert_eq!(RpcConfig::default().engine, EngineMode::Reactor);
 }
 
 #[test]
@@ -230,18 +238,66 @@ fn round_digest(mut h: u64, out: &fedrlnas_core::RoundOutcome) -> u64 {
     h
 }
 
+/// A standalone backend over a seeded cohort, driven round by round with
+/// a fixed mask set — fixed payload sizes, chosen bandwidths.
+struct Harness {
+    backend: RpcBackend,
+    supernet: Supernet,
+    masks: Vec<ArchMask>,
+    alpha_logits: Vec<f32>,
+}
+
+impl Harness {
+    fn new(config: SearchConfig, rpc: RpcConfig, faults: &[ScriptedFault]) -> Harness {
+        let mut rng = StdRng::seed_from_u64(SEED);
+        // only built to borrow seeded participants + dataset
+        let mut search = FederatedModelSearch::new(config.clone(), &mut rng);
+        let dataset = search.dataset().clone();
+        let backend = RpcBackend::with_faults(
+            search.server_mut().participants(),
+            &config.net,
+            &dataset,
+            rpc,
+            faults,
+        );
+        let supernet = Supernet::new(config.net.clone(), &mut rng);
+        let alpha_logits = Alpha::new(&config.net).logits().as_slice().to_vec();
+        let masks = (0..config.num_participants)
+            .map(|_| ArchMask::uniform_random(&config.net, &mut rng))
+            .collect();
+        Harness {
+            backend,
+            supernet,
+            masks,
+            alpha_logits,
+        }
+    }
+
+    fn round(&mut self, t: usize, mbps: f64) -> RoundOutcome {
+        let submodels = self
+            .masks
+            .iter()
+            .map(|m| self.supernet.extract_submodel(m))
+            .collect();
+        let bandwidths = vec![mbps; self.masks.len()];
+        self.backend.run_round(RoundRequest {
+            round: t,
+            masks: &self.masks,
+            submodels,
+            alpha_logits: &self.alpha_logits,
+            bandwidths_mbps: &bandwidths,
+            seed_base: SEED ^ t as u64,
+            active: None,
+        })
+    }
+}
+
 /// Drives two fixed-mask rounds at a 64-participant cohort on a
 /// standalone backend and digests the outcomes.
 fn width64_digest(transport: TransportKind, engine: EngineMode) -> u64 {
     const N: usize = 64;
-    let config = SearchConfig::tiny().with_participants(N);
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let mut search = FederatedModelSearch::new(config.clone(), &mut rng);
-    let dataset = search.dataset().clone();
-    let mut backend = RpcBackend::with_faults(
-        search.server_mut().participants(),
-        &config.net,
-        &dataset,
+    let mut harness = Harness::new(
+        SearchConfig::tiny().with_participants(N),
         RpcConfig {
             transport,
             engine,
@@ -250,25 +306,9 @@ fn width64_digest(transport: TransportKind, engine: EngineMode) -> u64 {
         },
         &[],
     );
-    let supernet = Supernet::new(config.net.clone(), &mut rng);
-    let alpha = Alpha::new(&config.net);
-    let alpha_logits = alpha.logits().as_slice().to_vec();
-    let masks: Vec<ArchMask> = (0..N)
-        .map(|_| ArchMask::uniform_random(&config.net, &mut rng))
-        .collect();
-    let bandwidths = vec![50.0f64; N];
     let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
     for t in 0..2 {
-        let submodels = masks.iter().map(|m| supernet.extract_submodel(m)).collect();
-        let out = backend.run_round(RoundRequest {
-            round: t,
-            masks: &masks,
-            submodels,
-            alpha_logits: &alpha_logits,
-            bandwidths_mbps: &bandwidths,
-            seed_base: SEED ^ t as u64,
-            active: None,
-        });
+        let out = harness.round(t, 50.0);
         assert_eq!(out.reports.len(), N, "round {t} must be full strength");
         digest = round_digest(digest, &out);
     }
@@ -302,5 +342,143 @@ fn single_thread_pool_still_completes_rounds() {
             ..RpcConfig::default()
         },
         &[],
+    );
+}
+
+/// Participant 0 holds round 1's download past the deadline on shaped
+/// links, with one pool thread on each side. Its reply must surface late
+/// in round 2 under both engines while everyone else stays on time, so
+/// the digests match: the parked link stalls nobody, and scheduled shaped
+/// sends commit exactly what serial's inline sleeps do.
+#[test]
+fn reactor_matches_serial_on_shaped_links_with_a_parked_worker() {
+    let digest = |engine| {
+        let mut faults = vec![ScriptedFault::default(); 4];
+        faults[0].delay = Some((1, Duration::from_millis(1500)));
+        let mut harness = Harness::new(
+            SearchConfig::tiny(),
+            RpcConfig {
+                engine,
+                deadline: Duration::from_secs(1),
+                max_retries: 0,
+                // ~50 ms per download at 1 Mbps
+                real_time_scale: 0.3,
+                reactor_threads: 1,
+                ..RpcConfig::default()
+            },
+            &faults,
+        );
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for t in 0..3 {
+            let out = harness.round(t, 1.0);
+            let on_time: Vec<usize> = out.reports.iter().map(|r| r.participant).collect();
+            let late: Vec<(usize, usize)> = out
+                .late
+                .iter()
+                .map(|r| (r.computed_at, r.participant))
+                .collect();
+            match t {
+                1 => assert_eq!(on_time, [1, 2, 3], "{engine:?} round 1"),
+                _ => assert_eq!(on_time, [0, 1, 2, 3], "{engine:?} round {t}"),
+            }
+            let want_late: &[(usize, usize)] = if t == 2 { &[(1, 0)] } else { &[] };
+            assert_eq!(late, want_late, "{engine:?} round {t} late replies");
+            digest = round_digest(digest, &out);
+        }
+        digest
+    };
+    assert_eq!(digest(EngineMode::Serial), digest(EngineMode::Reactor));
+}
+
+/// One collector thread over eight shaped links: the downloads are sent
+/// on a schedule, not slept one after another, so the round takes about
+/// one link delay, far below their sum.
+#[test]
+fn shaped_sends_overlap_on_a_single_reactor_thread() {
+    const MBPS: f64 = 1.0;
+    const SCALE: f64 = 1.0;
+    let mut harness = Harness::new(
+        SearchConfig::tiny().with_participants(8),
+        RpcConfig {
+            engine: EngineMode::Reactor,
+            real_time_scale: SCALE,
+            reactor_threads: 1,
+            ..RpcConfig::default()
+        },
+        &[],
+    );
+    let start = Instant::now();
+    let out = harness.round(0, MBPS);
+    let elapsed = start.elapsed().as_secs_f64();
+    assert_eq!(out.reports.len(), 8, "round must be full strength");
+    let summed: f64 = out
+        .download_frame_bytes
+        .iter()
+        .map(|&b| fedrlnas_netsim::transmission_secs(b as usize, MBPS) * SCALE)
+        .sum();
+    assert!(
+        elapsed < summed / 2.0,
+        "round took {elapsed:.3}s against {summed:.3}s of summed link delay"
+    );
+}
+
+/// One pool thread serves the whole fleet: a scripted delay on
+/// participant 0 parks only that link, so the others train and reply
+/// within the deadline.
+#[test]
+fn a_parked_worker_leaves_its_shard_on_time() {
+    let mut faults = vec![ScriptedFault::default(); 4];
+    faults[0].delay = Some((0, Duration::from_millis(1500)));
+    let mut harness = Harness::new(
+        SearchConfig::tiny(),
+        RpcConfig {
+            engine: EngineMode::Reactor,
+            deadline: Duration::from_millis(500),
+            max_retries: 0,
+            reactor_threads: 1,
+            ..RpcConfig::default()
+        },
+        &faults,
+    );
+    let out = harness.round(0, 50.0);
+    let on_time: Vec<usize> = out.reports.iter().map(|r| r.participant).collect();
+    assert_eq!(on_time, [1, 2, 3], "only the parked participant misses");
+}
+
+/// The engine's hot-path buffers (download frames, staging vectors,
+/// worker-side encode scratch and reply frames) are grow-only and reused
+/// — after a warm-up the growth counter must stop moving, i.e. the
+/// steady-state round path performs no buffer reallocation.
+#[test]
+fn scratch_buffers_stop_growing_after_warmup() {
+    let codec = CodecConfig::Fixed(CodecSpec::TopK { k_frac: 0.25 });
+    let config = SearchConfig::tiny().with_codec(codec);
+    let k = config.num_participants;
+    let mut harness = Harness::new(
+        config,
+        RpcConfig {
+            codec,
+            ..RpcConfig::default()
+        },
+        &[],
+    );
+    let mut growth_after_warmup = 0;
+    for t in 0..12 {
+        // the fixed mask set keeps payload sizes constant across rounds,
+        // so any growth after the first rounds would be a reuse bug
+        let out = harness.round(t, 50.0);
+        assert_eq!(out.reports.len(), k, "round {t} must be full strength");
+        if t == 3 {
+            growth_after_warmup = harness.backend.buffer_growth_count();
+            assert!(
+                growth_after_warmup > 0,
+                "initial rounds must populate the grow-only buffers"
+            );
+        }
+    }
+    assert_eq!(
+        harness.backend.buffer_growth_count(),
+        growth_after_warmup,
+        "steady-state rounds must not grow any hot-path buffer"
     );
 }

@@ -15,24 +15,24 @@ use rand::{rngs::StdRng, SeedableRng};
 /// Current spec encoding version. v2 appends the optional population-churn
 /// block after the backend code; v3 appends the round-engine code and the
 /// aggregation shard count after that. Older bodies still decode, with
-/// `population: None`, the pipelined engine and the flat topology.
+/// `population: None`, the reactor engine and the flat topology.
 const SPEC_VERSION: u8 = 3;
 
-/// Wire code for a round-engine mode (v3 spec tail).
+/// Wire code for a round-engine mode (v3 spec tail). Code 1 named the
+/// retired pipelined engine and is never written again.
 fn engine_code(engine: EngineMode) -> u8 {
     match engine {
         EngineMode::Serial => 0,
-        EngineMode::Pipelined => 1,
         EngineMode::Reactor => 2,
     }
 }
 
-/// Decodes a round-engine wire code.
+/// Decodes a round-engine wire code. Persisted stores may still hold code
+/// 1, the retired pipelined engine; it runs on its successor, the reactor.
 fn engine_from_code(code: u8) -> Option<EngineMode> {
     match code {
         0 => Some(EngineMode::Serial),
-        1 => Some(EngineMode::Pipelined),
-        2 => Some(EngineMode::Reactor),
+        1 | 2 => Some(EngineMode::Reactor),
         _ => None,
     }
 }
@@ -70,9 +70,9 @@ pub enum BackendKind {
     /// fault-free RPC run is bit-identical to an in-process one, results
     /// match a `--rpc` single run too.
     InProcess,
-    /// A dedicated in-memory RPC engine per job: one worker thread per
-    /// participant, private reply caches and error-feedback residual
-    /// namespace — jobs never share engine state.
+    /// A dedicated in-memory RPC engine per job: its own pooled worker
+    /// fleet, private reply caches and error-feedback residual namespace —
+    /// jobs never share engine state.
     RpcMem,
 }
 
@@ -121,8 +121,9 @@ pub struct JobSpec {
     /// `None` (and every v1 spec) keeps the fixed historical fleet.
     pub population: Option<PopulationConfig>,
     /// Round engine for RPC-backed jobs (ignored by
-    /// [`BackendKind::InProcess`]). Pre-v3 bodies decode as
-    /// [`EngineMode::Pipelined`], the historical RpcMem engine.
+    /// [`BackendKind::InProcess`]). Pre-v3 bodies, written when the
+    /// retired pipelined engine was the default, decode as
+    /// [`EngineMode::Reactor`].
     pub engine: EngineMode,
     /// Two-tier aggregation topology; pre-v3 bodies decode as flat.
     pub topology: ShardTopology,
@@ -141,7 +142,7 @@ impl JobSpec {
             environments: None,
             backend: BackendKind::InProcess,
             population: None,
-            engine: EngineMode::Pipelined,
+            engine: EngineMode::Reactor,
             topology: ShardTopology::flat(),
         }
     }
@@ -347,7 +348,7 @@ impl JobSpec {
         };
         // v2 bodies end here; v3 appends the engine and shard count
         let (engine, topology) = if version < 3 {
-            (EngineMode::Pipelined, ShardTopology::flat())
+            (EngineMode::Reactor, ShardTopology::flat())
         } else {
             let engine = {
                 let code = r.u8()?;
@@ -500,7 +501,7 @@ mod tests {
     fn v1_bodies_decode_as_fixed_fleet() {
         let spec = JobSpec {
             population: None,
-            engine: EngineMode::Pipelined,
+            engine: EngineMode::Reactor,
             topology: ShardTopology::flat(),
             ..sample()
         };
@@ -511,9 +512,9 @@ mod tests {
     }
 
     #[test]
-    fn v2_bodies_decode_with_the_pipelined_engine_and_flat_topology() {
+    fn v2_bodies_decode_with_the_reactor_engine_and_flat_topology() {
         let spec = JobSpec {
-            engine: EngineMode::Pipelined,
+            engine: EngineMode::Reactor,
             topology: ShardTopology::flat(),
             ..sample()
         };
@@ -521,6 +522,28 @@ mod tests {
         bytes.truncate(bytes.len() - V3_TAIL); // v2 bodies end at the population block
         bytes[0] = 2;
         assert_eq!(JobSpec::decode(&bytes).expect("v2 body"), spec);
+    }
+
+    #[test]
+    fn retired_pipelined_engine_code_decodes_as_reactor() {
+        let spec = JobSpec {
+            population: None,
+            engine: EngineMode::Reactor,
+            ..sample()
+        };
+        let mut bytes = spec.encode();
+        let engine_at = bytes.len() - V3_TAIL;
+        assert_eq!(bytes[engine_at], 2, "the reactor encodes as code 2");
+        bytes[engine_at] = 1; // a stored body from the pipelined era
+        assert_eq!(JobSpec::decode(&bytes).expect("code-1 body"), spec);
+        for engine in [EngineMode::Serial, EngineMode::Reactor] {
+            let bytes = JobSpec {
+                engine,
+                ..spec.clone()
+            }
+            .encode();
+            assert_ne!(bytes[engine_at], 1, "code 1 is never written");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Hand-rolled JSON export of per-job communication statistics — the one
 //! serialization path shared by the control plane's `StatsDump` reply and
-//! the CLI's `--stats-json` flag. (The workspace's `serde` is an offline
-//! marker stub, so the encoder is written out by hand; the format is
-//! stable, append-only JSON.)
+//! the CLI's `--stats-json` flag. The workspace has no serialization
+//! dependency, so the encoder is written out by hand; the format is
+//! stable, append-only JSON.
 
 use fedrlnas_fed::{CommStats, CODEC_NAMES};
 

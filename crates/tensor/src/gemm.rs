@@ -12,7 +12,7 @@
 //!   packed panels with a fully unrolled inner loop the optimizer
 //!   auto-vectorizes;
 //! * row panels are distributed across scoped threads
-//!   (`crossbeam::thread::scope`) when the global thread knob
+//!   (`std::thread::scope`) when the global thread knob
 //!   ([`crate::num_threads`], env `FEDRLNAS_NUM_THREADS`) allows and the
 //!   problem is big enough to amortize spawning. Each thread packs and
 //!   writes a disjoint slice of `c`, so no synchronization is needed.
@@ -473,7 +473,7 @@ fn gemm_packed(
                 let panels_per_thread = total_panels.div_ceil(threads);
                 let rows_per_thread = panels_per_thread * MR;
                 let b_packed: &[f32] = b_buf;
-                crossbeam::thread::scope(|scope| {
+                std::thread::scope(|scope| {
                     let mut handles = Vec::new();
                     let mut rest = &mut c[..m * n];
                     let mut r0 = 0;
@@ -481,7 +481,7 @@ fn gemm_packed(
                         let rows = rows_per_thread.min(m - r0);
                         let (chunk, tail) = rest.split_at_mut(rows * n);
                         rest = tail;
-                        handles.push(scope.spawn(move |_| {
+                        handles.push(scope.spawn(move || {
                             let mut a_local = Vec::new();
                             compute_rows(
                                 a,
@@ -503,8 +503,7 @@ fn gemm_packed(
                     for h in handles {
                         h.join().expect("gemm worker panicked");
                     }
-                })
-                .expect("gemm thread scope");
+                });
             }
             first_block = false;
             k0 += kc;

@@ -12,7 +12,7 @@
 //!                  [--checkpoint-path PATH] [--checkpoint-every N]
 //!                  [--stats-json PATH]
 //!                  [--rpc] [--rpc-transport mem|tcp] [--rpc-deadline-ms N]
-//!                  [--rpc-engine serial|pipelined|reactor] [--reactor-threads N]
+//!                  [--rpc-engine reactor|serial] [--reactor-threads N]
 //!                  [--quorum-frac F] [--quorum-drain-ms N] [--evict-after N]
 //!                  [--fault-seed N] [--fault-drop P] [--fault-corrupt P]
 //!                  [--fault-dup P] [--fault-reorder P] [--fault-delay P]
@@ -34,10 +34,11 @@
 //! merged at a root — bit-identical for the weighted mean, and the path
 //! large cohorts take; robust rules then apply their outlier bound per
 //! shard (see the design notes).
-//! `--rpc-engine reactor` drives all participant links from a bounded
-//! pool of event-loop threads (`--reactor-threads`, default: the
-//! `FEDRLNAS_NUM_THREADS` heuristic) instead of a thread per participant;
-//! fault-free runs are bit-identical across engines. `--quorum-drain-ms`
+//! `--rpc-engine` picks the round engine: the default `reactor` drives all
+//! participant links from a bounded pool of event-loop threads
+//! (`--reactor-threads`, default: the `FEDRLNAS_NUM_THREADS` heuristic)
+//! and overlaps shaped link delays; `serial` is the one-link-at-a-time
+//! reference. Fault-free runs are bit-identical across engines. `--quorum-drain-ms`
 //! tunes the grace window granted to in-flight stragglers once the round
 //! quorum is met (default 5 ms).
 //! `--codec` compresses uploaded model updates: `fp16` and `int8` quantize,
@@ -281,9 +282,8 @@ fn cmd_search(argv: &[String]) -> Result<(), String> {
             Some(other) => return Err(format!("unknown rpc transport {other:?}")),
         };
         let engine = match flag(argv, "--rpc-engine").as_deref() {
-            None | Some("pipelined") => EngineMode::Pipelined,
+            None | Some("reactor") => EngineMode::Reactor,
             Some("serial") => EngineMode::Serial,
-            Some("reactor") => EngineMode::Reactor,
             Some(other) => return Err(format!("unknown rpc engine {other:?}")),
         };
         let reactor_threads: usize = flag(argv, "--reactor-threads")

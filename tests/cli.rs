@@ -81,3 +81,21 @@ fn search_then_retrain_round_trip() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("test error"), "{text}");
 }
+
+#[test]
+fn retired_pipelined_engine_is_rejected() {
+    let out = bin()
+        .args([
+            "search",
+            "--scale",
+            "tiny",
+            "--rpc",
+            "--rpc-engine",
+            "pipelined",
+        ])
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success(), "the pipelined engine is gone");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown rpc engine \"pipelined\""), "{err}");
+}
