@@ -24,24 +24,13 @@
 //! exits non-zero if a measured throughput falls below the committed
 //! floor.
 
+use fedrlnas_bench::{flag_value, median_ns, FloorGate};
 use fedrlnas_core::{FederatedModelSearch, PopulationConfig, SearchConfig};
 use fedrlnas_netsim::{AvailabilitySpec, CohortSampler, Population};
 use fedrlnas_rpc::{install, RpcConfig, TransportKind};
 use rand::{rngs::StdRng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-fn median_ns(reps: usize, mut f: impl FnMut()) -> u64 {
-    f(); // warmup
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed().as_nanos() as u64);
-    }
-    samples.sort_unstable();
-    samples[reps / 2]
-}
 
 /// The availability model exercised everywhere below: diurnal swing,
 /// correlated dropouts, device churn and mid-round flaps all armed.
@@ -56,18 +45,6 @@ fn stormy() -> AvailabilitySpec {
         churn: 0.05,
         flap: 0.1,
     }
-}
-
-/// Extracts `"key": <number>` from a flat JSON text (the committed floor
-/// file is written by this repo, so a full parser is unnecessary).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// End-to-end warm-up rounds/s: churned 64-of-100k cohort vs the
@@ -137,16 +114,9 @@ fn rounds_per_sec_group(json: &mut String) {
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
-    let out_path = argv
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| argv.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_churn.json".to_string());
+    let out_path = flag_value(&argv, "--out").unwrap_or_else(|| "BENCH_churn.json".to_string());
     let quick = argv.iter().any(|a| a == "--quick");
-    let check_path = argv
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| argv.get(i + 1).cloned());
+    let check_path = flag_value(&argv, "--check");
     let reps = if quick { 9 } else { 25 };
 
     let mut json = String::new();
@@ -219,33 +189,21 @@ fn main() {
 
     // --- committed-floor regression gate (CI) ---
     if let Some(path) = check_path {
-        let floors = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read floor file {path}: {e}"));
-        let mut failed = false;
-        for (key, label, got) in [
-            (
-                "availability_evals_m_per_s_floor",
-                "availability",
-                eval_m_per_s,
-            ),
-            (
-                "sampler_scan_m_clients_per_s_floor",
-                "sampler@100k",
-                scan_m_per_s_at_100k,
-            ),
-        ] {
-            let Some(floor) = json_number(&floors, key) else {
-                continue;
-            };
-            if got < floor {
-                eprintln!("FAIL: {label} {got:.1} M/s below committed floor {floor:.1}");
-                failed = true;
-            } else {
-                eprintln!("ok: {label} {got:.1} M/s >= floor {floor:.1}");
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
+        let mut gate = FloorGate::load(&path);
+        gate.at_least(
+            "availability_evals_m_per_s_floor",
+            "availability",
+            eval_m_per_s,
+            "M/s",
+            1,
+        );
+        gate.at_least(
+            "sampler_scan_m_clients_per_s_floor",
+            "sampler@100k",
+            scan_m_per_s_at_100k,
+            "M/s",
+            1,
+        );
+        gate.finish();
     }
 }

@@ -12,25 +12,13 @@
 //! (writes `BENCH_kernels.json` in the current directory; pass `--out
 //! <path>` to override).
 
+use fedrlnas_bench::{flag_value, median_ns};
 use fedrlnas_nn::{Conv2d, Layer, Mode};
 use fedrlnas_tensor::{gemm, gemm_naive, im2col, Conv2dGeometry, Tensor};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 const REPS: usize = 15;
-
-fn median_ns(mut f: impl FnMut()) -> u64 {
-    f(); // warmup: page in buffers, resolve the SIMD dispatch, grow arenas
-    let mut samples = Vec::with_capacity(REPS);
-    for _ in 0..REPS {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed().as_nanos() as u64);
-    }
-    samples.sort_unstable();
-    samples[REPS / 2]
-}
 
 fn randv(len: usize, rng: &mut StdRng) -> Vec<f32> {
     (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
@@ -64,12 +52,12 @@ fn bench_gemm_shapes(rng: &mut StdRng) -> Vec<Row> {
             let a = randv(m * k, rng);
             let b = randv(k * n, rng);
             let mut c = vec![0.0f32; m * n];
-            let before_ns = median_ns(|| {
+            let before_ns = median_ns(REPS, || {
                 c.fill(0.0);
                 gemm_naive(m, n, k, &a, &b, &mut c);
                 std::hint::black_box(&c);
             });
-            let after_ns = median_ns(|| {
+            let after_ns = median_ns(REPS, || {
                 c.fill(0.0);
                 gemm(m, n, k, &a, &b, &mut c);
                 std::hint::black_box(&c);
@@ -178,13 +166,13 @@ fn bench_conv_shapes(rng: &mut StdRng) -> (Vec<Row>, Vec<Row>) {
         let weight = randv(ch * ch * 9, rng);
         let bias = randv(ch, rng);
         let mut out = vec![0.0f32; batch * ch * geom.out_positions()];
-        let before_ns = median_ns(|| {
+        let before_ns = median_ns(REPS, || {
             conv_forward_baseline(&x, &weight, &bias, ch, ch, 3, &geom, &mut out);
             std::hint::black_box(&out);
         });
 
         let mut conv = Conv2d::new(ch, ch, 3, 1, 1, 1, 1, rng);
-        let after_ns = median_ns(|| {
+        let after_ns = median_ns(REPS, || {
             std::hint::black_box(conv.forward(&x, Mode::Eval));
         });
         fwd.push(Row {
@@ -198,7 +186,7 @@ fn bench_conv_shapes(rng: &mut StdRng) -> (Vec<Row>, Vec<Row>) {
         let mut dweight = vec![0.0f32; weight.len()];
         let mut dbias = vec![0.0f32; bias.len()];
         let mut dx = vec![0.0f32; x.len()];
-        let before_train_ns = median_ns(|| {
+        let before_train_ns = median_ns(REPS, || {
             conv_forward_baseline(&x, &weight, &bias, ch, ch, 3, &geom, &mut out);
             conv_backward_baseline(
                 &x,
@@ -214,7 +202,7 @@ fn bench_conv_shapes(rng: &mut StdRng) -> (Vec<Row>, Vec<Row>) {
             );
             std::hint::black_box((&out, &dx));
         });
-        let after_train_ns = median_ns(|| {
+        let after_train_ns = median_ns(REPS, || {
             let y = conv.forward(&x, Mode::Train);
             std::hint::black_box(conv.backward(&grad));
             std::hint::black_box(y);
@@ -244,11 +232,7 @@ fn section(out: &mut String, name: &str, rows: &[Row], last: bool) {
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
-    let out_path = argv
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| argv.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_kernels.json".to_string());
+    let out_path = flag_value(&argv, "--out").unwrap_or_else(|| "BENCH_kernels.json".to_string());
 
     let mut rng = StdRng::seed_from_u64(42);
     eprintln!("timing gemm shapes (median of {REPS})...");

@@ -27,6 +27,7 @@
 //! measured rounds/s falls below its committed floor or the 10k resident
 //! set exceeds its committed ceiling.
 
+use fedrlnas_bench::{flag_value, FloorGate};
 use fedrlnas_controller::Alpha;
 use fedrlnas_core::{FederatedModelSearch, RoundBackend, RoundOutcome, RoundRequest, SearchConfig};
 use fedrlnas_darts::{ArchMask, Supernet};
@@ -104,10 +105,11 @@ fn run_scale(n: usize, rounds: usize, engine: EngineMode) -> ScaleRun {
         SyntheticDataset::generate(&spec, &mut drng)
     };
     // only built to borrow seeded participants for the standalone backend
-    let mut search = FederatedModelSearch::with_dataset(config.clone(), dataset, &mut rng);
+    let search = FederatedModelSearch::with_dataset(config.clone(), dataset, &mut rng);
     let dataset = search.dataset().clone();
-    let mut backend = RpcBackend::with_faults(
-        search.server_mut().participants(),
+    let mut participants = search.server().participants().to_vec();
+    let mut backend = RpcBackend::new(
+        &participants,
         &config.net,
         &dataset,
         RpcConfig {
@@ -118,7 +120,6 @@ fn run_scale(n: usize, rounds: usize, engine: EngineMode) -> ScaleRun {
             deadline: Duration::from_secs(120),
             ..RpcConfig::default()
         },
-        &[],
     );
     let supernet = Supernet::new(config.net.clone(), &mut rng);
     let alpha = Alpha::new(&config.net);
@@ -140,6 +141,8 @@ fn run_scale(n: usize, rounds: usize, engine: EngineMode) -> ScaleRun {
             bandwidths_mbps: &bandwidths,
             seed_base: SEED ^ t as u64,
             active: None,
+            participants: &mut participants,
+            dataset: &dataset,
         });
         assert_eq!(
             out.reports.len(),
@@ -163,16 +166,9 @@ fn run_scale(n: usize, rounds: usize, engine: EngineMode) -> ScaleRun {
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
-    let out_path = argv
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| argv.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_scale.json".to_string());
+    let out_path = flag_value(&argv, "--out").unwrap_or_else(|| "BENCH_scale.json".to_string());
     let quick = argv.iter().any(|a| a == "--quick");
-    let check_path = argv
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| argv.get(i + 1).cloned());
+    let check_path = flag_value(&argv, "--check");
 
     // --- serial vs reactor equivalence at the base width ---
     eprintln!("equivalence gate: serial@64 vs reactor@64...");
@@ -248,43 +244,15 @@ fn main() {
 
     // --- committed-floor regression gate (CI) ---
     if let Some(path) = check_path {
-        let floors = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read floor file {path}: {e}"));
-        let mut failed = false;
+        let mut gate = FloorGate::load(&path);
         for &(n, rps, rss) in &measured {
-            if let Some(floor) = json_number(&floors, &format!("rounds_per_sec_floor_{n}")) {
-                if rps < floor {
-                    eprintln!("FAIL: n={n} {rps:.3} rounds/s below committed floor {floor:.3}");
-                    failed = true;
-                } else {
-                    eprintln!("ok: n={n} {rps:.3} rounds/s >= floor {floor:.3}");
-                }
-            }
+            let key = format!("rounds_per_sec_floor_{n}");
+            gate.at_least(&key, &format!("n={n}"), rps, "rounds/s", 3);
             if rss > 0.0 {
-                if let Some(ceiling) = json_number(&floors, &format!("rss_mib_ceiling_{n}")) {
-                    if rss > ceiling {
-                        eprintln!("FAIL: n={n} resident {rss:.1} MiB over ceiling {ceiling:.1}");
-                        failed = true;
-                    } else {
-                        eprintln!("ok: n={n} resident {rss:.1} MiB <= ceiling {ceiling:.1}");
-                    }
-                }
+                let key = format!("rss_mib_ceiling_{n}");
+                gate.at_most(&key, &format!("n={n} resident"), rss, "MiB", 1);
             }
         }
-        if failed {
-            std::process::exit(1);
-        }
+        gate.finish();
     }
-}
-
-/// Extracts `"key": <number>` from a flat JSON text (the committed floor
-/// file is written by this repo, so a full parser is unnecessary).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }

@@ -28,6 +28,7 @@
 //! <floor.json>` exits non-zero if a measured codec throughput falls
 //! below the committed floor.
 
+use fedrlnas_bench::{flag_value, median_ns, FloorGate};
 use fedrlnas_codec::{CodecSpec, EncodeScratch};
 use fedrlnas_controller::Alpha;
 use fedrlnas_core::{FederatedModelSearch, SearchConfig};
@@ -39,18 +40,6 @@ use fedrlnas_rpc::{
 use rand::{rngs::StdRng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-fn median_ns(reps: usize, mut f: impl FnMut()) -> u64 {
-    f(); // warmup
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed().as_nanos() as u64);
-    }
-    samples.sort_unstable();
-    samples[reps / 2]
-}
 
 struct Payload {
     label: String,
@@ -153,18 +142,6 @@ fn echo_loop(transport: &mut dyn Transport, reply: Vec<u8>) {
     }
 }
 
-/// Extracts `"key": <number>` from a flat JSON text (the committed floor
-/// file is written by this repo, so a full parser is unnecessary).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// End-to-end `rounds_per_sec` at n participants under shaped bandwidth:
 /// the same seeded warm-up run under both engine modes. The warm-up
 /// curves and communication stats must be bit-identical — the measured
@@ -231,16 +208,9 @@ fn rounds_per_sec_group(json: &mut String) {
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
-    let out_path = argv
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| argv.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_transport.json".to_string());
+    let out_path = flag_value(&argv, "--out").unwrap_or_else(|| "BENCH_transport.json".to_string());
     let quick = argv.iter().any(|a| a == "--quick");
-    let check_path = argv
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| argv.get(i + 1).cloned());
+    let check_path = flag_value(&argv, "--check");
     let reps = if quick { 9 } else { 25 };
 
     let mut rng = StdRng::seed_from_u64(42);
@@ -389,30 +359,18 @@ fn main() {
 
     // --- committed-floor regression gate (CI perf-smoke) ---
     if let Some(path) = check_path {
-        let floors = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read floor file {path}: {e}"));
-        let mut failed = false;
+        let mut gate = FloorGate::load(&path);
         for (key, codec) in [
             ("topk_encode_mb_s_floor", "topk:0.1"),
             ("fp16_encode_mb_s_floor", "fp16"),
         ] {
-            let Some(floor) = json_number(&floors, key) else {
-                continue;
-            };
             let got = measured
                 .iter()
                 .find(|(name, _)| name == codec)
                 .map(|(_, v)| *v)
                 .unwrap_or(0.0);
-            if got < floor {
-                eprintln!("FAIL: {codec} encode {got:.1} MB/s below committed floor {floor:.1}");
-                failed = true;
-            } else {
-                eprintln!("ok: {codec} encode {got:.1} MB/s >= floor {floor:.1}");
-            }
+            gate.at_least(key, &format!("{codec} encode"), got, "MB/s", 1);
         }
-        if failed {
-            std::process::exit(1);
-        }
+        gate.finish();
     }
 }

@@ -191,6 +191,93 @@ pub fn budgets(scale: Scale) -> (usize, usize, usize, usize) {
     }
 }
 
+/// Median wall time of `reps` calls to `f` in nanoseconds, after one
+/// untimed warm-up call.
+pub fn median_ns(reps: usize, mut f: impl FnMut()) -> u64 {
+    f();
+    let mut samples: Vec<u64> = (0..reps)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            f();
+            t.elapsed().as_nanos() as u64
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[reps / 2]
+}
+
+/// Extracts `"key": <number>` from a flat JSON text (the committed floor
+/// files are written by this repo, so a full parser is unnecessary).
+pub fn json_number(text: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\"");
+    let at = text.find(&needle)? + needle.len();
+    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// The committed-floor regression gate of the perf benches (`--check
+/// <floor.json>`): every check whose key the floor file holds prints one
+/// `ok:` or `FAIL:` line to stderr, and [`FloorGate::finish`] exits
+/// non-zero if any failed. Keys the file lacks are skipped.
+#[derive(Debug)]
+pub struct FloorGate {
+    floors: String,
+    failed: bool,
+}
+
+impl FloorGate {
+    /// Reads the floor file at `path`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the file cannot be read.
+    pub fn load(path: &str) -> FloorGate {
+        let floors =
+            fs::read_to_string(path).unwrap_or_else(|e| panic!("read floor file {path}: {e}"));
+        FloorGate {
+            floors,
+            failed: false,
+        }
+    }
+
+    /// Requires `got` (in `unit`, printed with `prec` decimals) to reach
+    /// the floor stored under `key`.
+    pub fn at_least(&mut self, key: &str, subject: &str, got: f64, unit: &str, prec: usize) {
+        let Some(floor) = json_number(&self.floors, key) else {
+            return;
+        };
+        if got < floor {
+            eprintln!("FAIL: {subject} {got:.prec$} {unit} below committed floor {floor:.prec$}");
+            self.failed = true;
+        } else {
+            eprintln!("ok: {subject} {got:.prec$} {unit} >= floor {floor:.prec$}");
+        }
+    }
+
+    /// Requires `got` to stay at or under the ceiling stored under `key`.
+    pub fn at_most(&mut self, key: &str, subject: &str, got: f64, unit: &str, prec: usize) {
+        let Some(ceiling) = json_number(&self.floors, key) else {
+            return;
+        };
+        if got > ceiling {
+            eprintln!("FAIL: {subject} {got:.prec$} {unit} over ceiling {ceiling:.prec$}");
+            self.failed = true;
+        } else {
+            eprintln!("ok: {subject} {got:.prec$} {unit} <= ceiling {ceiling:.prec$}");
+        }
+    }
+
+    /// Exits the process with status 1 if any check failed.
+    pub fn finish(self) {
+        if self.failed {
+            std::process::exit(1);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,6 +305,14 @@ mod tests {
         assert_eq!(lines[0], "step,x,y");
         assert!(lines[1].starts_with("0,1.0"));
         assert!(lines[2].ends_with(',')); // missing y at step 1
+    }
+
+    #[test]
+    fn json_number_reads_flat_keys() {
+        let text = "{\n  \"a_floor\": 12.5,\n  \"b\" : -3e2\n}";
+        assert_eq!(json_number(text, "a_floor"), Some(12.5));
+        assert_eq!(json_number(text, "b"), Some(-300.0));
+        assert_eq!(json_number(text, "missing"), None);
     }
 
     #[test]

@@ -34,7 +34,7 @@ mod runner;
 mod server;
 mod vfs;
 
-pub use backend::{BackendReport, RoundBackend, RoundOutcome, RoundRequest};
+pub use backend::{BackendReport, InProcessBackend, RoundBackend, RoundOutcome, RoundRequest};
 pub use checkpoint::{
     Checkpoint, CheckpointError, ChurnEntry, ParticipantEntry, PendingEntry, PoolEntry,
 };

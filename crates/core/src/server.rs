@@ -1,27 +1,24 @@
 //! The search server: Algorithm 1 with adaptive transmission and
 //! delay-compensated soft synchronization.
 
-use crate::backend::{BackendReport, RoundBackend, RoundRequest};
+use crate::backend::{BackendReport, InProcessBackend, RoundBackend, RoundRequest};
 use crate::config::{PopulationConfig, SearchConfig};
 use crate::metrics::{CurveRecorder, StepMetric};
-use fedrlnas_codec::{absorb_residual, compensate, Codec};
 use fedrlnas_controller::{Alpha, ReinforceController};
 use fedrlnas_darts::{ArchMask, Genotype, Supernet};
 use fedrlnas_data::{dirichlet_partition, iid_partition, SyntheticDataset};
 use fedrlnas_fed::{
-    validate_update, ChurnTally, CommStats, Participant, RejectTally, RoundTimings,
-    ShardedAccumulator, SparseUpdate,
+    validate_update, ChurnTally, CommStats, Participant, RejectTally, ShardedAccumulator,
+    SparseUpdate,
 };
-use fedrlnas_netsim::{
-    assign, resolve_codec, transmission_secs, CohortSampler, Environment, Population,
-};
+use fedrlnas_netsim::{assign, transmission_secs, CohortSampler, Environment, Population};
 use fedrlnas_nn::Sgd;
 use fedrlnas_sync::{
     compensate_alpha_gradient, compensate_gradient, MemoryPools, RoundSnapshot, StalenessDraw,
     StalenessStrategy,
 };
 use fedrlnas_tensor::Tensor;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Per-round transmission latency summary (the Fig. 7 metrics).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -153,7 +150,7 @@ struct Arrival {
     sub_grads: Vec<f32>,
     accuracy: f32,
     /// Participant-computed `∇α log p(g)` when the update crossed a wire
-    /// backend; empty in-process. Cross-checked against the server's own
+    /// backend; empty otherwise. Cross-checked against the server's own
     /// computation, never trusted directly.
     delta_alpha: Vec<f32>,
 }
@@ -178,8 +175,11 @@ pub struct SearchServer {
     pub(crate) sim_seconds: f64,
     pub(crate) churn: Option<ChurnState>,
     initial_theta: Vec<f32>,
-    /// Optional wire backend; `None` trains participants in-process.
-    backend: Option<Box<dyn RoundBackend>>,
+    /// Executes every round; an [`InProcessBackend`] unless one was
+    /// installed through [`SearchServer::set_backend`].
+    backend: Box<dyn RoundBackend>,
+    /// Whether `backend` was installed rather than the default.
+    backend_installed: bool,
 }
 
 impl SearchServer {
@@ -239,6 +239,7 @@ impl SearchServer {
         supernet.visit_params(&mut |p| initial_theta.extend_from_slice(p.value.as_slice()));
         let theta_sgd = Sgd::new(config.theta_sgd);
         let churn = config.population.as_ref().map(ChurnState::new);
+        let backend = Box::new(InProcessBackend::new(&config.net, config.codec));
         SearchServer {
             config,
             supernet,
@@ -255,7 +256,8 @@ impl SearchServer {
             sim_seconds: 0.0,
             churn,
             initial_theta,
-            backend: None,
+            backend,
+            backend_installed: false,
         }
     }
 
@@ -264,35 +266,40 @@ impl SearchServer {
     /// backend's transport, and [`SearchServer::comm`] switches from
     /// estimated to *measured* wire bytes.
     pub fn set_backend(&mut self, backend: Box<dyn RoundBackend>) {
-        self.backend = Some(backend);
+        self.backend = backend;
+        self.backend_installed = true;
     }
 
     /// Removes the installed backend, returning to in-process execution.
     pub fn clear_backend(&mut self) -> Option<Box<dyn RoundBackend>> {
-        self.backend.take()
+        if !std::mem::take(&mut self.backend_installed) {
+            return None;
+        }
+        let in_process = Box::new(InProcessBackend::new(&self.config.net, self.config.codec));
+        Some(std::mem::replace(&mut self.backend, in_process))
     }
 
-    /// Pulls the authoritative error-feedback residuals back from an
-    /// installed wire backend into the server's own participants, so a
-    /// checkpoint captured next reflects what the workers actually hold.
-    /// No-op in-process or when the backend does not compress uploads.
+    /// Pulls the authoritative error-feedback residuals back from the
+    /// backend into the server's own participants, so a checkpoint
+    /// captured next reflects what the workers actually hold. No-op when
+    /// the backend trains the server's participants in place or does not
+    /// compress uploads.
     pub(crate) fn sync_backend_residuals(&mut self) {
-        if let Some(backend) = self.backend.as_mut() {
-            if let Some(residuals) = backend.collect_residuals() {
-                for (p, r) in self.participants.iter_mut().zip(residuals) {
-                    p.set_residual(r);
-                }
+        if let Some(residuals) = self.backend.collect_residuals() {
+            for (p, r) in self.participants.iter_mut().zip(residuals) {
+                p.set_residual(r);
             }
         }
     }
 
-    /// Transport description of the installed backend, if any.
+    /// Transport description of the installed backend; `None` while
+    /// rounds run in-process.
     pub fn backend_description(&self) -> Option<String> {
-        self.backend.as_ref().map(|b| b.describe())
+        self.backend_installed.then(|| self.backend.describe())
     }
 
     /// The federation's participants. Wire backends clone these at install
-    /// time so worker threads start from exactly the in-process state.
+    /// time so their workers start from exactly the server's state.
     pub fn participants(&self) -> &[Participant] {
         &self.participants
     }
@@ -488,17 +495,15 @@ impl SearchServer {
             .map(|p| p.next_bandwidth_mbps(rng))
             .collect();
         let outcome = assign(self.config.assignment, &sizes, &bandwidths, rng);
-        // Per-participant download latency this round. In-process these are
-        // the assignment estimates; a wire backend replaces them below with
-        // measured frame bytes over the same sampled bandwidths.
+        // Per-participant download latency this round: the assignment
+        // estimates, replaced below by measured frame bytes over the same
+        // sampled bandwidths when the backend measured any.
         let mut latencies = outcome.latencies.clone();
-        // inactive slots ship nothing, so they contribute no latency (the
-        // wire backend reaches the same numbers via zero measured frames)
-        if let Some(active) = &active_mask {
-            for (p, latency) in latencies.iter_mut().enumerate() {
-                if !active.get(p).copied().unwrap_or(false) {
-                    *latency = 0.0;
-                }
+        // inactive slots ship nothing, so they contribute no latency (a
+        // measuring backend reaches the same numbers via zero-byte frames)
+        for (p, latency) in latencies.iter_mut().enumerate() {
+            if !slot_active(&active_mask, p) {
+                *latency = 0.0;
             }
         }
         // mask each participant actually trains
@@ -508,9 +513,8 @@ impl SearchServer {
         // --- memory pools (lines 4, 6–7) ---
         if matches!(
             self.config.strategy,
-            StalenessStrategy::DelayCompensated { .. }
-        ) || matches!(self.config.strategy, StalenessStrategy::Use)
-        {
+            StalenessStrategy::DelayCompensated { .. } | StalenessStrategy::Use
+        ) {
             let mut theta = Vec::with_capacity(self.initial_theta.len());
             self.supernet
                 .visit_params(&mut |p| theta.extend_from_slice(p.value.as_slice()));
@@ -523,169 +527,44 @@ impl SearchServer {
                 },
             );
         }
-        // --- participants train in parallel (lines 12–14, 37–42), either
-        // in-process or over the installed wire backend ---
-        let mut submodels: Vec<_> = assigned_masks
+        // --- participants train in parallel (lines 12–14, 37–42) ---
+        let submodels: Vec<_> = assigned_masks
             .iter()
             .map(|m| self.supernet.extract_submodel(m))
             .collect();
         let seed_base: u64 = rng.gen();
         let alpha_logits = self.controller.alpha().logits().as_slice().to_vec();
-        let mut round_timings = RoundTimings::default();
-        let (reports, late_reports) = if let Some(backend) = self.backend.as_mut() {
-            let out = backend.run_round(RoundRequest {
-                round: t,
-                masks: &assigned_masks,
-                submodels,
-                alpha_logits: &alpha_logits,
-                bandwidths_mbps: &bandwidths,
-                seed_base,
-                active: active_mask.as_deref(),
-            });
-            // communication: the bytes that actually crossed the wire,
-            // including retransmissions and late uploads
-            self.comm.record_down(out.bytes_down as usize);
-            self.comm.record_up(out.bytes_up as usize);
-            self.comm.record_faults(&out.faults);
-            self.comm.record_rejects(&out.rejects);
-            self.comm.record_compression(&out.compression);
-            churn_tally.merge(&out.churn);
-            round_timings.merge(&out.timings);
-            // transmission latency: measured download frame bytes over the
-            // sampled link bandwidth
-            for (p, latency) in latencies.iter_mut().enumerate().take(k) {
-                let bytes = out.download_frame_bytes.get(p).copied().unwrap_or(0);
-                *latency = transmission_secs(bytes as usize, bandwidths[p]);
-            }
-            // The workers drew this round's batches on their own clones, so
-            // mirror the loader-state transition here (same per-participant
-            // RNG derivation; shuffle draws precede augmentation draws in
-            // `next_batch`, so replaying only the pick loop lands on the
-            // same state). This keeps the server's participants
-            // authoritative for checkpoint/resume in backend mode.
-            for p in self.participants.iter_mut() {
-                if !slot_active(&active_mask, p.id()) {
-                    continue; // no worker trained for this slot this round
-                }
-                let mut prng = rand::rngs::StdRng::seed_from_u64(
-                    seed_base ^ (p.id() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                p.advance_data(&mut prng);
-            }
-            (out.reports, out.late)
-        } else {
-            let raw: Vec<(usize, f32, f32, Vec<f32>)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .participants
-                    .iter_mut()
-                    .zip(submodels.iter_mut())
-                    .filter(|(p, _)| slot_active(&active_mask, p.id()))
-                    .map(|(p, sub)| {
-                        scope.spawn(move || {
-                            let mut prng = rand::rngs::StdRng::seed_from_u64(
-                                seed_base ^ (p.id() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                            );
-                            let report = p.local_update(sub, dataset, &mut prng);
-                            let mut grads = Vec::new();
-                            sub.visit_params(&mut |pp| grads.extend_from_slice(pp.grad.as_slice()));
-                            (p.id(), report.accuracy, report.loss, grads)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("participant thread panicked"))
-                    .collect()
-            });
-            let mut reports: Vec<BackendReport> = raw
-                .into_iter()
-                .map(|(participant, accuracy, loss, grads)| BackendReport {
-                    participant,
-                    computed_at: t,
-                    mask: assigned_masks[participant].clone(),
-                    accuracy,
-                    loss,
-                    grads,
-                    delta_alpha: Vec::new(),
-                })
-                .collect();
-            // downlink (estimated): one sub-model per *participating* slot
-            match &active_mask {
-                None => {
-                    for size in &sizes {
-                        self.comm.record_down(*size);
-                    }
-                }
-                Some(active) => {
-                    for p in 0..k {
-                        if active[p] {
-                            self.comm
-                                .record_down(sizes[outcome.model_for_participant[p]]);
-                        }
-                    }
-                }
-            }
-            if self.config.codec.is_fp32() {
-                // uplink (estimated): raw gradients + reward
-                match &active_mask {
-                    None => {
-                        for size in &sizes {
-                            self.comm.record_up(*size + 4);
-                        }
-                    }
-                    Some(active) => {
-                        for p in 0..k {
-                            if active[p] {
-                                self.comm
-                                    .record_up(sizes[outcome.model_for_participant[p]] + 4);
-                            }
-                        }
-                    }
-                }
-            } else {
-                // Simulate the codec each upload would cross the wire with:
-                // compensate with the participant's error-feedback residual,
-                // encode, decode, absorb the loss back into the residual, and
-                // hand the *decoded* gradients downstream — exactly what the
-                // rpc engine does, so both execution modes stay bit-identical.
-                // The uplink tally is the encoded size, not the raw one.
-                let theta_len = self.initial_theta.len();
-                for r in &mut reports {
-                    let p = r.participant;
-                    let spec = resolve_codec(self.config.codec, bandwidths[p]);
-                    let ranges = self.supernet.submodel_param_ranges(&r.mask);
-                    compensate(
-                        &mut r.grads,
-                        self.participants[p].residual_mut_sized(theta_len),
-                        &ranges,
-                    );
-                    let encoded = spec.encode(&r.grads);
-                    let decoded = spec
-                        .decode(&encoded, r.grads.len())
-                        .expect("a codec must decode its own encoding");
-                    absorb_residual(
-                        self.participants[p].residual_mut_sized(theta_len),
-                        &r.grads,
-                        &decoded,
-                        &ranges,
-                    );
-                    self.comm.compression.record(
-                        spec.tag() as usize,
-                        (r.grads.len() * 4) as u64,
-                        encoded.len() as u64,
-                    );
-                    self.comm.record_up(encoded.len() + 4);
-                    r.grads = decoded;
-                }
-            }
-            (reports, Vec::new())
-        };
+        let out = self.backend.run_round(RoundRequest {
+            round: t,
+            masks: &assigned_masks,
+            submodels,
+            alpha_logits: &alpha_logits,
+            bandwidths_mbps: &bandwidths,
+            seed_base,
+            active: active_mask.as_deref(),
+            participants: &mut self.participants,
+            dataset,
+        });
+        self.comm.record_down(out.bytes_down as usize);
+        self.comm.record_up(out.bytes_up as usize);
+        self.comm.record_faults(&out.faults);
+        self.comm.record_rejects(&out.rejects);
+        self.comm.record_compression(&out.compression);
+        churn_tally.merge(&out.churn);
+        let mut round_timings = out.timings;
+        for ((latency, &bytes), &mbps) in latencies
+            .iter_mut()
+            .zip(&out.download_frame_bytes)
+            .zip(&bandwidths)
+        {
+            *latency = transmission_secs(bytes as usize, mbps);
+        }
         // --- validation gate: nothing unverified reaches staleness,
-        // rewards, the curve, or aggregation (the engine gates its own
-        // replies too; this covers the in-process path and defends in
-        // depth against a buggy backend) ---
-        let reports = self.gate_reports(reports);
-        let late_reports = self.gate_reports(late_reports);
+        // rewards, the curve, or aggregation (the wire engine gates its
+        // own replies too; this covers every backend and defends in depth
+        // against a buggy one) ---
+        let reports = self.gate_reports(out.reports);
+        let late_reports = self.gate_reports(out.late);
         if churn_tally.any() {
             self.comm.record_churn(&churn_tally);
         }
@@ -763,7 +642,6 @@ impl SearchServer {
             {
                 continue; // line 23: ignore update
             }
-            let _ = u.participant;
             match self.config.strategy {
                 StalenessStrategy::Throw => {} // discard stale data
                 StalenessStrategy::Use | StalenessStrategy::DelayCompensated { .. } => {
@@ -935,7 +813,8 @@ mod tests {
     use crate::config::SearchConfig;
     use fedrlnas_data::DatasetSpec;
     use fedrlnas_sync::StalenessModel;
-    use rand::rngs::StdRng;
+    use rand::{rngs::StdRng, SeedableRng};
+    use std::sync::{Arc, Mutex};
 
     fn dataset(rng: &mut StdRng) -> SyntheticDataset {
         SyntheticDataset::generate(&DatasetSpec::svhn_like().with_sizes(12, 4), rng)
@@ -1126,6 +1005,82 @@ mod tests {
             assert_eq!(a.0, b.0, "{spec}: genotypes diverged across reruns");
             assert_eq!(a.1, b.1, "{spec}: curves diverged across reruns");
         }
+    }
+
+    #[test]
+    fn in_process_pool_width_never_changes_the_search() {
+        let run = |codec: &str, threads: usize| {
+            fedrlnas_tensor::set_num_threads(threads);
+            let mut rng = StdRng::seed_from_u64(11);
+            let data = dataset(&mut rng);
+            let config =
+                SearchConfig::tiny().with_codec(fedrlnas_codec::CodecConfig::parse(codec).unwrap());
+            let mut server = SearchServer::new(config, &data, &mut rng);
+            server.run_warmup(&data, 2, &mut rng);
+            server.run_search(&data, 3, &mut rng);
+            (
+                server.search_curve().steps().to_vec(),
+                server.derive_genotype(),
+                *server.comm(),
+            )
+        };
+        let before = fedrlnas_tensor::num_threads();
+        for codec in ["fp32", "topk:0.1"] {
+            // one pool thread, and more pool threads than the cohort of 4
+            let serial = run(codec, 1);
+            let wide = run(codec, 7);
+            assert_eq!(serial.0, wide.0, "{codec}: curves diverged");
+            assert_eq!(serial.1, wide.1, "{codec}: genotypes diverged");
+            assert_eq!(serial.2, wide.2, "{codec}: CommStats diverged");
+        }
+        fedrlnas_tensor::set_num_threads(before);
+    }
+
+    /// Forwards to the in-process backend, first recording the round's
+    /// straggler latency when every participant is charged the mean
+    /// sub-model size, and when each is charged its own.
+    struct Recording(InProcessBackend, Arc<Mutex<Vec<(f64, f64)>>>);
+
+    impl RoundBackend for Recording {
+        fn run_round(&mut self, mut request: RoundRequest<'_>) -> crate::backend::RoundOutcome {
+            let sizes: Vec<usize> = request
+                .submodels
+                .iter_mut()
+                .map(|s| s.param_bytes())
+                .collect();
+            let avg = (sizes.iter().sum::<usize>() as f64 / sizes.len() as f64).round() as usize;
+            let bandwidths = request.bandwidths_mbps;
+            let max_latency = |bytes: &dyn Fn(usize) -> usize| {
+                (0..sizes.len())
+                    .map(|p| transmission_secs(bytes(p), bandwidths[p]))
+                    .fold(0.0, f64::max)
+            };
+            let seen = (max_latency(&|_| avg), max_latency(&|p| sizes[p]));
+            self.1.lock().unwrap().push(seen);
+            self.0.run_round(request)
+        }
+    }
+
+    #[test]
+    fn average_size_latency_charges_the_mean_submodel() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let data = dataset(&mut rng);
+        let mut config = SearchConfig::tiny();
+        config.assignment = fedrlnas_netsim::AssignmentStrategy::AverageSize;
+        let mut server = SearchServer::new(config.clone(), &data, &mut rng);
+        let seen = Arc::default();
+        let inner = InProcessBackend::new(&config.net, config.codec);
+        server.set_backend(Box::new(Recording(inner, Arc::clone(&seen))));
+        server.run_search(&data, 3, &mut rng);
+        let seen = seen.lock().unwrap();
+        for (t, &(by_average, _)) in seen.iter().enumerate() {
+            assert_eq!(server.latency().max_per_round[t], by_average, "round {t}");
+        }
+        assert!(
+            seen.iter()
+                .any(|&(by_average, by_own)| by_average != by_own),
+            "per-model sizes never differed from the mean"
+        );
     }
 
     #[test]

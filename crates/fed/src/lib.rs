@@ -3,9 +3,8 @@
 //!
 //! The paper runs its system over PyTorch Distributed RPC between real
 //! machines; this crate provides the in-process substitute. Participants
-//! own a shard of the training data and run real local training — on
-//! worker threads when [`FedAvgTrainer::run_round_parallel`] is used — and
-//! the server aggregates weights or gradients exactly as FedAvg specifies.
+//! own a shard of the training data and run real local training, and the
+//! server aggregates weights or gradients exactly as FedAvg specifies.
 //! Every byte that would cross the network is tallied in [`CommStats`].
 //!
 //! # Example
@@ -42,7 +41,7 @@ pub use comm::{
     CODEC_NAMES, NUM_CODECS,
 };
 pub use fedsgd::{FedSgdConfig, FedSgdTrainer};
-pub use participant::{LocalReport, Participant};
+pub use participant::{participant_rng, LocalReport, Participant};
 pub use robust::{
     clip_l2, l2_norm, validate_update, Aggregator, AggregatorConfig, AggregatorKind, CoordMedian,
     Krum, NormClip, SparseUpdate, StreamingAccumulator, TrimmedMean, UpdateRejection, WeightedMean,

@@ -4,7 +4,15 @@ use crate::trainable::TrainableModel;
 use fedrlnas_data::{AugmentConfig, Loader, SyntheticDataset};
 use fedrlnas_netsim::{BandwidthTrace, Environment};
 use fedrlnas_nn::{CrossEntropy, Mode, Sgd, SgdConfig};
-use rand::Rng;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// The training RNG of participant `id` in a round whose base seed is
+/// `seed_base`. Every round backend — in-process, wire worker, and the
+/// wire backend's server-side loader replay — draws from this one
+/// derivation, which is what keeps them bit-identical.
+pub fn participant_rng(seed_base: u64, id: usize) -> StdRng {
+    StdRng::seed_from_u64(seed_base ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
 
 /// What a participant returns to the server after one local update
 /// (Algorithm 1 lines 37–42): the reward — training accuracy computed in

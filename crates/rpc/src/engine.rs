@@ -29,10 +29,10 @@
 //! is active. Re-admission itself is a fresh start — see [`readmit`].
 //!
 //! Determinism: worker `p` derives its training RNG exactly like the
-//! in-process path (`seed_base ^ p · φ64`), performs the same
-//! `local_update` call on the same shipped weights, and reports are sorted
-//! by participant id before aggregation — so a fault-free RPC search is
-//! bit-identical to an in-process one. Injected faults come from the
+//! in-process backend ([`fedrlnas_fed::participant_rng`]), performs the
+//! same `local_update` call on the same shipped weights, and reports are
+//! sorted by participant id before aggregation — so a fault-free RPC
+//! search is bit-identical to an in-process one. Injected faults come from the
 //! seeded schedule of [`FaultPlan`], and every *recoverable* fault is
 //! masked by the retry/idempotence machinery, so the search result is
 //! unchanged under a recoverable fault plan too.
@@ -58,10 +58,9 @@ use fedrlnas_controller::Alpha;
 use fedrlnas_core::{BackendReport, RoundBackend, RoundOutcome, RoundRequest, SearchServer};
 use fedrlnas_darts::{ArchMask, Supernet, SupernetConfig};
 use fedrlnas_data::SyntheticDataset;
-use fedrlnas_fed::{validate_update, Participant, RejectTally, UpdateRejection};
+use fedrlnas_fed::{participant_rng, validate_update, Participant, RejectTally, UpdateRejection};
 use fedrlnas_netsim::resolve_codec;
 use fedrlnas_tensor::Tensor;
-use rand::{rngs::StdRng, SeedableRng};
 
 use crate::adversary::{apply_attack, Attack};
 use crate::fault::{mix, FaultPlan, FaultyTransport};
@@ -601,10 +600,9 @@ impl WorkerState {
             b.copy_from_slice(&buffers[bc..bc + n]);
             bc += n;
         });
-        // identical RNG derivation to the in-process path
-        let mut prng =
-            StdRng::seed_from_u64(seed_base ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let report = self.participant.local_update(&mut sub, dataset, &mut prng);
+        let report =
+            self.participant
+                .local_update(&mut sub, dataset, &mut participant_rng(seed_base, id));
         let mut grads = Vec::new();
         sub.visit_params(&mut |p| grads.extend_from_slice(p.grad.as_slice()));
         if let Some(attack) = self.fault.attack {
@@ -1375,7 +1373,17 @@ impl RoundBackend for RpcBackend {
                 out.faults.merge(&link.inner_mut().take_tally());
             }
         }
-        // aggregation order must match the in-process path exactly
+        // The workers drew this round's batches on their own participant
+        // copies, so mirror the loader-state transition on the lent ones
+        // (shuffle draws precede augmentation draws in `next_batch`, so
+        // replaying only the pick loop lands on the same state). This keeps
+        // the server's participants authoritative for checkpoints.
+        for p in request.participants.iter_mut() {
+            if is_active(p.id()) {
+                p.advance_data(&mut participant_rng(request.seed_base, p.id()));
+            }
+        }
+        // aggregation order must match the in-process backend exactly
         out.reports.sort_by_key(|r| r.participant);
         out.late.sort_by_key(|r| (r.computed_at, r.participant));
         out

@@ -18,6 +18,8 @@ use fedrlnas_core::{
     FederatedModelSearch, RoundBackend, RoundOutcome, RoundRequest, SearchConfig, SearchOutcome,
 };
 use fedrlnas_darts::{ArchMask, Supernet};
+use fedrlnas_data::SyntheticDataset;
+use fedrlnas_fed::Participant;
 use fedrlnas_rpc::{
     install, install_with_faults, Attack, EngineMode, FaultPlan, RpcBackend, RpcConfig,
     ScriptedFault, TransportKind,
@@ -242,6 +244,8 @@ fn round_digest(mut h: u64, out: &fedrlnas_core::RoundOutcome) -> u64 {
 /// a fixed mask set — fixed payload sizes, chosen bandwidths.
 struct Harness {
     backend: RpcBackend,
+    participants: Vec<Participant>,
+    dataset: SyntheticDataset,
     supernet: Supernet,
     masks: Vec<ArchMask>,
     alpha_logits: Vec<f32>,
@@ -251,15 +255,10 @@ impl Harness {
     fn new(config: SearchConfig, rpc: RpcConfig, faults: &[ScriptedFault]) -> Harness {
         let mut rng = StdRng::seed_from_u64(SEED);
         // only built to borrow seeded participants + dataset
-        let mut search = FederatedModelSearch::new(config.clone(), &mut rng);
+        let search = FederatedModelSearch::new(config.clone(), &mut rng);
         let dataset = search.dataset().clone();
-        let backend = RpcBackend::with_faults(
-            search.server_mut().participants(),
-            &config.net,
-            &dataset,
-            rpc,
-            faults,
-        );
+        let participants = search.server().participants().to_vec();
+        let backend = RpcBackend::with_faults(&participants, &config.net, &dataset, rpc, faults);
         let supernet = Supernet::new(config.net.clone(), &mut rng);
         let alpha_logits = Alpha::new(&config.net).logits().as_slice().to_vec();
         let masks = (0..config.num_participants)
@@ -267,6 +266,8 @@ impl Harness {
             .collect();
         Harness {
             backend,
+            participants,
+            dataset,
             supernet,
             masks,
             alpha_logits,
@@ -288,6 +289,8 @@ impl Harness {
             bandwidths_mbps: &bandwidths,
             seed_base: SEED ^ t as u64,
             active: None,
+            participants: &mut self.participants,
+            dataset: &self.dataset,
         })
     }
 }

@@ -352,7 +352,7 @@ fn cmd_search(argv: &[String]) -> Result<(), String> {
         let worker_dataset = search.dataset().clone();
         fedrlnas::rpc::install(search.server_mut(), &worker_dataset, rpc_config);
         println!(
-            "rpc runtime: {} transport, {engine:?} engine, {} worker threads, {deadline_ms} ms deadline, quorum {quorum_frac}",
+            "rpc runtime: {} transport, {engine:?} engine, {} participants, {deadline_ms} ms deadline, quorum {quorum_frac}",
             search
                 .server_mut()
                 .backend_description()

@@ -99,3 +99,25 @@ fn retired_pipelined_engine_is_rejected() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown rpc engine \"pipelined\""), "{err}");
 }
+
+#[test]
+fn rpc_banner_counts_participants() {
+    let out = bin()
+        .args(["search", "--scale", "tiny", "--rpc"])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    let banner = text
+        .lines()
+        .find(|l| l.starts_with("rpc runtime: "))
+        .expect("--rpc prints the runtime banner");
+    // the tiny preset's 4 participants run on a pooled fleet, not on 4
+    // dedicated threads
+    assert!(banner.contains(", 4 participants,"), "{banner}");
+    assert!(!banner.contains("thread"), "{banner}");
+}
