@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the numeric substrate: GEMM, im2col and
-//! the convolution layer — the kernels that dominate search time.
+//! the convolution layer (dense and depthwise) — the kernels that dominate
+//! search time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedrlnas_nn::{Conv2d, Layer, Mode};
@@ -74,6 +75,31 @@ fn bench_conv_supernet(c: &mut Criterion) {
     group.finish();
 }
 
+/// Depthwise stages of the separable and dilated candidate ops at the
+/// search supernet's shapes (8/16/32 channels at 12/6/3 px, batch 16),
+/// forward + backward through the layer's direct per-plane kernels.
+fn bench_depthwise_supernet(c: &mut Criterion) {
+    let mut group = c.benchmark_group("depthwise_forward_backward");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_secs(1));
+    let mut rng = StdRng::seed_from_u64(9);
+    for &(ch, hw) in &[(8usize, 12usize), (16, 6), (32, 3)] {
+        for (k, dilation) in [(3usize, 1usize), (3, 2), (5, 1), (5, 2)] {
+            let padding = dilation * (k - 1) / 2;
+            let mut conv = Conv2d::new(ch, ch, k, 1, padding, dilation, ch, &mut rng);
+            let x = Tensor::randn(&[16, ch, hw, hw], 1.0, &mut rng);
+            let shape = format!("k{k}_d{dilation}_{ch}ch_{hw}x{hw}_b16");
+            group.bench_with_input(BenchmarkId::from_parameter(&shape), &shape, |b, _| {
+                b.iter(|| {
+                    let y = conv.forward(&x, Mode::Train);
+                    std::hint::black_box(conv.backward(&Tensor::ones(y.dims())));
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");
     group.sample_size(20);
@@ -133,6 +159,12 @@ fn bench_conv_layer(c: &mut Criterion) {
     group.bench_function("depthwise_forward", |b| {
         b.iter(|| std::hint::black_box(dw.forward(&x, Mode::Eval)))
     });
+    group.bench_function("depthwise_forward_backward", |b| {
+        b.iter(|| {
+            let y = dw.forward(&x, Mode::Train);
+            std::hint::black_box(dw.backward(&Tensor::ones(y.dims())));
+        })
+    });
     group.bench_function("dense_forward_backward", |b| {
         b.iter(|| {
             let y = conv.forward(&x, Mode::Train);
@@ -148,6 +180,7 @@ criterion_group!(
     bench_gemm_supernet,
     bench_im2col,
     bench_conv_layer,
+    bench_depthwise_supernet,
     bench_conv_supernet
 );
 criterion_main!(benches);

@@ -5,7 +5,12 @@
 //! packed, SIMD-dispatched GEMM with fused bias and reusable workspaces
 //! ("after": [`gemm`]/[`gemm_bias`] through [`Conv2d`]), at
 //! supernet-realistic shapes (DARTS cells on 32x32 inputs with 16/32/64
-//! channels). Reports the median of `REPS` timed runs per shape, in
+//! channels). The `depthwise_forward_backward` section compares the
+//! `im2col` + GEMM lowering of depthwise convolutions ("before", rebuilt
+//! here from the public tensor functions with reused buffers) against the
+//! direct per-plane kernels behind a depthwise [`Conv2d`] ("after"), at the
+//! shapes of the separable and dilated candidate ops in the search
+//! supernet. Reports the median of `REPS` timed runs per shape, in
 //! nanoseconds, as JSON.
 //!
 //! Usage: `cargo run --release -p fedrlnas-bench --bin bench_kernels`
@@ -14,7 +19,7 @@
 
 use fedrlnas_bench::{flag_value, median_ns};
 use fedrlnas_nn::{Conv2d, Layer, Mode};
-use fedrlnas_tensor::{gemm, gemm_naive, im2col, Conv2dGeometry, Tensor};
+use fedrlnas_tensor::{col2im, gemm, gemm_bias, gemm_naive, im2col, Conv2dGeometry, Tensor};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
 
@@ -150,7 +155,7 @@ fn conv_backward_baseline(
         dcols.fill(0.0);
         gemm_naive(col_rows, positions, cout, &wt, go, &mut dcols);
         let dgin = &mut dx[i * img_len..(i + 1) * img_len];
-        fedrlnas_tensor::col2im(&dcols, cin, geom, dgin).expect("valid geometry");
+        col2im(&dcols, cin, geom, dgin).expect("valid geometry");
     }
 }
 
@@ -216,6 +221,122 @@ fn bench_conv_shapes(rng: &mut StdRng) -> (Vec<Row>, Vec<Row>) {
     (fwd, fwd_bwd)
 }
 
+/// Reused buffers of the depthwise `im2col` lowering (the layer's former
+/// workspace slots): column matrix, its gradient, and the per-channel
+/// weight-gradient accumulator.
+struct LoweredDepthwise {
+    cols: Vec<f32>,
+    dcols: Vec<f32>,
+    dwt: Vec<f32>,
+}
+
+impl LoweredDepthwise {
+    /// One training step of a depthwise convolution as it used to run: per
+    /// (sample, channel) an `im2col` and an `M = 1` GEMM forward; per channel
+    /// a batch-wide `N = 1` GEMM for dW, a second GEMM for the column
+    /// gradient and a `col2im` scatter backward.
+    #[allow(clippy::too_many_arguments)]
+    fn train_step(
+        &mut self,
+        x: &Tensor,
+        weight: &[f32],
+        bias: &[f32],
+        grad_out: &[f32],
+        geom: &Conv2dGeometry,
+        out: &mut [f32],
+        dweight: &mut [f32],
+        dbias: &mut [f32],
+        dx: &mut [f32],
+    ) {
+        let dims = x.dims();
+        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        let (plane, positions, kk) = (h * w, geom.out_positions(), geom.kernel * geom.kernel);
+        let (cols, dcols, dwt) = (&mut self.cols, &mut self.dcols, &mut self.dwt);
+        cols.resize(kk * positions, 0.0);
+        dcols.resize(kk * positions, 0.0);
+        dwt.resize(kk, 0.0);
+        for p in 0..n * c {
+            let ch = p % c;
+            im2col(&x.as_slice()[p * plane..(p + 1) * plane], 1, geom, cols).expect("geometry");
+            let dst = &mut out[p * positions..(p + 1) * positions];
+            gemm_bias(1, positions, kk, &weight[ch * kk..], cols, &bias[ch..], dst);
+        }
+        dx.fill(0.0);
+        for ch in 0..c {
+            dwt.fill(0.0);
+            for i in 0..n {
+                let p = i * c + ch;
+                im2col(&x.as_slice()[p * plane..(p + 1) * plane], 1, geom, cols).expect("geometry");
+                let go = &grad_out[p * positions..(p + 1) * positions];
+                dbias[ch] += go.iter().sum::<f32>();
+                gemm(kk, 1, positions, cols, go, dwt);
+                dcols.fill(0.0);
+                gemm(kk, positions, 1, &weight[ch * kk..], go, dcols);
+                col2im(dcols, 1, geom, &mut dx[p * plane..(p + 1) * plane]).expect("geometry");
+            }
+            for (d, t) in dweight[ch * kk..(ch + 1) * kk].iter_mut().zip(dwt.iter()) {
+                *d += t;
+            }
+        }
+    }
+}
+
+/// Depthwise stages of the supernet's sep/dil conv candidates at the
+/// search scale: `(channels, spatial)` per cell stage, `k` 3/5, dilation
+/// 1/2 with "same" padding, batch 16.
+fn bench_depthwise_shapes(rng: &mut StdRng) -> Vec<Row> {
+    const BATCH: usize = 16;
+    let mut rows = Vec::new();
+    for &(ch, hw) in &[(8usize, 12usize), (16, 6), (32, 3)] {
+        for k in [3usize, 5] {
+            for dilation in [1usize, 2] {
+                let padding = dilation * (k - 1) / 2;
+                let geom = Conv2dGeometry::new(hw, hw, k, 1, padding, dilation);
+                let x = Tensor::randn(&[BATCH, ch, hw, hw], 1.0, rng);
+                let grad = Tensor::randn(&[BATCH, ch, geom.out_h, geom.out_w], 1.0, rng);
+                let mut conv = Conv2d::new(ch, ch, k, 1, padding, dilation, ch, rng);
+                let mut params = Vec::new();
+                conv.visit_params(&mut |p| params.push(p.value.as_slice().to_vec()));
+                let (weight, bias) = (&params[0], &params[1]);
+                let mut lowered = LoweredDepthwise {
+                    cols: Vec::new(),
+                    dcols: Vec::new(),
+                    dwt: Vec::new(),
+                };
+                let mut out = vec![0.0f32; grad.len()];
+                let mut dweight = vec![0.0f32; weight.len()];
+                let mut dbias = vec![0.0f32; bias.len()];
+                let mut dx = vec![0.0f32; x.len()];
+                let before_ns = median_ns(REPS, || {
+                    lowered.train_step(
+                        &x,
+                        weight,
+                        bias,
+                        grad.as_slice(),
+                        &geom,
+                        &mut out,
+                        &mut dweight,
+                        &mut dbias,
+                        &mut dx,
+                    );
+                    std::hint::black_box((&out, &dx));
+                });
+                let after_ns = median_ns(REPS, || {
+                    let y = conv.forward(&x, Mode::Train);
+                    std::hint::black_box(conv.backward(&grad));
+                    std::hint::black_box(y);
+                });
+                rows.push(Row {
+                    label: format!("dw{k}x{k}_d{dilation}_{ch}ch_{hw}x{hw}_b{BATCH}"),
+                    before_ns,
+                    after_ns,
+                });
+            }
+        }
+    }
+    rows
+}
+
 fn section(out: &mut String, name: &str, rows: &[Row], last: bool) {
     writeln!(out, "  \"{name}\": [").unwrap();
     for (i, r) in rows.iter().enumerate() {
@@ -239,25 +360,28 @@ fn main() {
     let gemm_rows = bench_gemm_shapes(&mut rng);
     eprintln!("timing conv shapes (median of {REPS})...");
     let (fwd_rows, train_rows) = bench_conv_shapes(&mut rng);
+    eprintln!("timing depthwise shapes (median of {REPS})...");
+    let dw_rows = bench_depthwise_shapes(&mut rng);
 
     let mut json = String::new();
     writeln!(json, "{{").unwrap();
     writeln!(
         json,
-        "  \"description\": \"median ns per kernel; before = seed scalar GEMM + per-call allocation, after = packed SIMD GEMM + fused bias + reused workspace\","
+        "  \"description\": \"median ns per kernel; gemm/conv: before = seed scalar GEMM + per-call allocation, after = packed SIMD GEMM + fused bias + reused workspace; depthwise_forward_backward: before = im2col + GEMM lowering with reused buffers, after = direct per-plane depthwise kernels (bit-identical)\","
     )
     .unwrap();
     writeln!(json, "  \"reps\": {REPS},").unwrap();
     section(&mut json, "gemm", &gemm_rows, false);
     section(&mut json, "conv_forward", &fwd_rows, false);
-    section(&mut json, "conv_forward_backward", &train_rows, true);
+    section(&mut json, "conv_forward_backward", &train_rows, false);
+    section(&mut json, "depthwise_forward_backward", &dw_rows, true);
     writeln!(json, "}}").unwrap();
 
     std::fs::write(&out_path, &json).expect("write BENCH_kernels.json");
     print!("{json}");
     eprintln!("wrote {out_path}");
 
-    for rows in [&gemm_rows, &fwd_rows, &train_rows] {
+    for rows in [&gemm_rows, &fwd_rows, &train_rows, &dw_rows] {
         for r in rows {
             eprintln!(
                 "{:38} {:>10} -> {:>10} ns  ({:.2}x)",

@@ -2,21 +2,35 @@
 //!
 //! Depthwise-separable and dilated convolutions — two of the eight DARTS
 //! candidate operations (paper Fig. 1) — are both built from this layer: a
-//! depthwise stage uses `groups == in_channels`, a pointwise stage uses a
-//! `1x1` kernel, and dilated convolutions set `dilation > 1`.
+//! depthwise stage uses `groups == in_channels == out_channels`, a pointwise
+//! stage uses a `1x1` kernel, and dilated convolutions set `dilation > 1`.
+//! Depthwise layers run direct per-plane kernels; every other grouping
+//! lowers to GEMM through `im2col`.
 
 use crate::init::he_std;
 use crate::layer::{Layer, Mode, Param};
-use fedrlnas_tensor::{col2im, gemm, gemm_bias, im2col, Conv2dGeometry, Tensor, Workspace};
+use fedrlnas_tensor::{
+    col2im, depthwise_backward, depthwise_forward, gemm, gemm_bias, im2col, Conv2dGeometry, Tensor,
+    Workspace,
+};
 use rand::Rng;
 
 /// A grouped 2-D convolution over NCHW tensors with bias.
 ///
-/// Weight layout is `[out_channels, in_channels / groups * k * k]`; the
-/// forward pass lowers each sample and group to GEMM via `im2col`. The
-/// column/transpose scratch lives in a per-layer [`Workspace`] so repeated
-/// steps with the same geometry allocate nothing; cloning the layer (e.g.
-/// for a federated participant thread) starts with an empty workspace.
+/// Weight layout is `[out_channels, in_channels / groups * k * k]`.
+///
+/// * **Depthwise** (one input and one output channel per group): each
+///   channel plane goes through [`depthwise_forward`] /
+///   [`depthwise_backward`], which work on the image directly: no column
+///   buffer, and the layer's [`Workspace`] stays empty. Their results are bit-identical to the `im2col` + scalar GEMM
+///   lowering wherever that lowering ran the scalar kernel (a plane with
+///   `out_h * out_w * k * k <= 16384`). Above that it ran the packed GEMM,
+///   whose sums differ from the direct kernels' at the ulp level.
+/// * **Dense and general grouped**: each sample and group lowers to GEMM
+///   via `im2col`. The column/transpose scratch lives in a per-layer
+///   [`Workspace`] so repeated steps with the same geometry allocate
+///   nothing; cloning the layer (e.g. for a federated participant thread)
+///   starts with an empty workspace.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     in_channels: usize,
@@ -85,6 +99,11 @@ impl Conv2d {
         self.out_channels
     }
 
+    /// One input and one output channel per group: the direct-kernel path.
+    fn is_depthwise(&self) -> bool {
+        self.in_channels == self.groups && self.out_channels == self.groups
+    }
+
     fn geometry(&self, in_h: usize, in_w: usize) -> Conv2dGeometry {
         Conv2dGeometry::new(
             in_h,
@@ -110,6 +129,23 @@ impl Layer for Conv2d {
         let col_rows = cin_g * kk;
         let positions = geom.out_positions();
         let mut out = Tensor::zeros(&[n, self.out_channels, geom.out_h, geom.out_w]);
+        if mode == Mode::Train {
+            self.cached_input = Some(x.clone());
+        } else {
+            self.cached_input = None;
+        }
+        if self.is_depthwise() {
+            let planes = x.as_slice().chunks_exact(h * w);
+            let outs = out.as_mut_slice().chunks_exact_mut(positions);
+            for (p, (plane, dst)) in planes.zip(outs).enumerate() {
+                let ch = p % c;
+                let taps = &self.weight.value.as_slice()[ch * kk..(ch + 1) * kk];
+                let bias = self.bias.value.as_slice()[ch];
+                depthwise_forward(plane, taps, bias, &geom, dst)
+                    .expect("depthwise geometry verified above");
+            }
+            return out;
+        }
         // Reused scratch: `im2col` writes every element (padding included), so
         // stale contents from the previous step are harmless.
         let cols = self.workspace.buffer(col_rows * positions);
@@ -127,11 +163,6 @@ impl Layer for Conv2d {
                 // Bias is fused into the GEMM epilogue: one pass over dst.
                 gemm_bias(cout_g, positions, col_rows, w_g, cols, bias_g, dst);
             }
-        }
-        if mode == Mode::Train {
-            self.cached_input = Some(x.clone());
-        } else {
-            self.cached_input = None;
         }
         out
     }
@@ -155,6 +186,39 @@ impl Layer for Conv2d {
             "conv2d backward gradient shape mismatch"
         );
         let mut dx = Tensor::zeros(&dims);
+        if self.is_depthwise() {
+            // Channel-outer so each tap's weight gradient sums over the whole
+            // batch before one add into `weight.grad`, as the GEMM lowering's
+            // per-group accumulator did.
+            let (plane, wg, bg) = (
+                h * w,
+                self.weight.grad.as_mut_slice(),
+                self.bias.grad.as_mut_slice(),
+            );
+            let mut dw = vec![0.0f32; kk];
+            for ch in 0..c {
+                let taps = &self.weight.value.as_slice()[ch * kk..(ch + 1) * kk];
+                dw.fill(0.0);
+                for i in 0..n {
+                    let p = i * c + ch;
+                    let go = &grad_out.as_slice()[p * positions..(p + 1) * positions];
+                    bg[ch] += go.iter().sum::<f32>();
+                    depthwise_backward(
+                        &x.as_slice()[p * plane..(p + 1) * plane],
+                        taps,
+                        go,
+                        &geom,
+                        &mut dw,
+                        &mut dx.as_mut_slice()[p * plane..(p + 1) * plane],
+                    )
+                    .expect("geometry verified in forward");
+                }
+                for (g, d) in wg[ch * kk..(ch + 1) * kk].iter_mut().zip(&dw) {
+                    *g += d;
+                }
+            }
+            return dx;
+        }
         // Reused scratch (stale contents fine): `cols` is fully written by
         // im2col, `wt` and `got` are fully written per group/sample below,
         // `dcols` is zeroed before each accumulate-GEMM and `dwt` at each
@@ -276,6 +340,30 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, 10.0], &[1, 2, 1, 1]).unwrap();
         let y = conv.forward(&x, Mode::Eval);
         assert_eq!(y.as_slice(), &[2.0, 30.0]);
+    }
+
+    #[test]
+    fn depthwise_runs_without_workspace() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let x = Tensor::randn(&[2, 4, 6, 6], 1.0, &mut rng);
+        let mut depthwise = Conv2d::new(4, 4, 5, 1, 4, 2, 4, &mut rng);
+        let y = depthwise.forward(&x, Mode::Train);
+        depthwise.backward(&Tensor::ones(y.dims()));
+        assert_eq!(depthwise.workspace.capacity(), 0);
+        // A grouped conv with two channels per group still lowers to GEMM.
+        let mut grouped = Conv2d::new(4, 4, 3, 1, 1, 1, 2, &mut rng);
+        let y = grouped.forward(&x, Mode::Train);
+        grouped.backward(&Tensor::ones(y.dims()));
+        assert!(grouped.workspace.capacity() > 0);
+    }
+
+    #[test]
+    fn grad_check_depthwise_strided_dilated() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut conv = Conv2d::new(3, 3, 3, 2, 2, 2, 3, &mut rng);
+        let x = Tensor::randn(&[2, 3, 5, 5], 1.0, &mut rng);
+        let err = grad_check_input(&mut conv, &x, 1e-2);
+        assert!(err < 1e-2, "input grad error {err}");
     }
 
     #[test]

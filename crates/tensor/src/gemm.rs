@@ -1,7 +1,9 @@
 //! Packed, register-tiled, optionally multithreaded single-precision GEMM.
 //!
-//! The convolution layers lower to matrix multiplication via
-//! [`im2col`](crate::im2col), so this kernel dominates training time. The
+//! Dense and grouped convolution layers lower to matrix multiplication via
+//! [`im2col`](crate::im2col), so this kernel dominates their training time
+//! (depthwise convolutions bypass it: see
+//! [`depthwise_forward`](crate::depthwise_forward)). The
 //! implementation follows the classic BLIS/GotoBLAS decomposition:
 //!
 //! * `k` is split into depth blocks of [`KC`]; for each block, `b` is packed

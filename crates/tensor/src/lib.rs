@@ -11,8 +11,10 @@
 //!   multithreaded single-precision matrix multiply used by the convolution
 //!   and linear layers (thread count via [`set_num_threads`] or
 //!   `FEDRLNAS_NUM_THREADS`),
-//! * [`im2col`]/[`col2im`] — the lowering used to express convolutions (with
-//!   stride, padding, dilation and groups) as GEMM,
+//! * [`im2col`]/[`col2im`] — the lowering used to express dense and grouped
+//!   convolutions (with stride, padding and dilation) as GEMM, and
+//!   [`depthwise_forward`]/[`depthwise_backward`] — direct per-plane kernels
+//!   for depthwise ones,
 //! * [`Workspace`] — a grow-only scratch arena layers reuse across steps so
 //!   the hot path performs no per-call allocations,
 //! * reductions, softmax and argmax kernels.
@@ -39,7 +41,7 @@ mod tensor;
 mod threading;
 mod workspace;
 
-pub use conv::{col2im, im2col, Conv2dGeometry};
+pub use conv::{col2im, depthwise_backward, depthwise_forward, im2col, Conv2dGeometry};
 pub use gemm::{gemm, gemm_bias, gemm_naive};
 pub use ops::{argmax_rows, log_softmax_rows, softmax_inplace, softmax_rows};
 pub use shape::{Shape, ShapeError};

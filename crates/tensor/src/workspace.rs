@@ -1,8 +1,9 @@
 //! Reusable scratch buffers for kernel lowering.
 //!
-//! `Conv2d::forward`/`backward` lower to GEMM through multi-megabyte column
-//! buffers; allocating them per call dominated allocator traffic during
-//! supernet training. A [`Workspace`] owns a small set of grow-only `f32`
+//! Dense and grouped `Conv2d::forward`/`backward` lower to GEMM through
+//! multi-megabyte column buffers; allocating them per call dominated
+//! allocator traffic during supernet training. (Depthwise convolutions run
+//! direct kernels and need no column buffers.) A [`Workspace`] owns a small set of grow-only `f32`
 //! buffers that layers reuse across steps.
 //!
 //! # Contract
